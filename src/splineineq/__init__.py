@@ -64,6 +64,7 @@ __all__ = [
     "l2_norm_sq",
     "l2_norm_sq_quadrature",
     "random_spline",
+    "ratio_L",
     "representative_roots",
     "sharp_constant",
     "spline_eval",

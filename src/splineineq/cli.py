@@ -25,7 +25,7 @@ import numpy as np
 from .bernstein import extremal_ratio, sharp_constant, verify_inequality
 from .bspline import CardinalSpline
 from .euler_frobenius import ef_roots, representative_roots, symbol_via_ef
-from .favard import favard
+from .favard import ROUNDING_FLOOR, favard
 from .symbol import ratio_L, symbol_fourier, symbol_lattice
 
 SCHEMA_VERSION = "1"
@@ -59,26 +59,24 @@ class OutputRecord:
 # -- serialization ---------------------------------------------------------
 
 
-def _fmt_float(x: float) -> str:
-    # 17 significant digits round-trip any double; the suffix keeps the
-    # value recognizably a float when it happens to be integral.
-    s = format(float(x), ".17g")
-    if "." not in s and "e" not in s and "E" not in s:
-        s += ".0"
-    return s
+def _scalar(v, fmt: str) -> str:
+    """Canonical text form of one scalar, shared by both formats.
 
-
-def _cell(v) -> str:
-    """Canonical text form of one scalar, shared by both formats."""
+    Only None and strings differ: JSON writes null and quoted strings,
+    CSV an empty cell and the bare string.
+    """
+    if isinstance(v, float):
+        # 17 significant digits round-trip any double; the suffix keeps the
+        # value recognizably a float when it happens to be integral.
+        s = format(v, ".17g")
+        return s if "." in s or "e" in s else s + ".0"
     if v is None:
-        return ""
+        return "null" if fmt == "json-lines" else ""
     if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, (int, np.integer)):
         return str(int(v))
-    if isinstance(v, float):
-        return _fmt_float(v)
-    return str(v)
+    return json.dumps(str(v)) if fmt == "json-lines" else str(v)
 
 
 _INT_RE = re.compile(r"^[+-]?\d+$")
@@ -99,49 +97,40 @@ def _parse_cell(s: str):
     return s
 
 
-def _json_scalar(v) -> str:
-    if v is None:
-        return "null"
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    if isinstance(v, float):
-        return _fmt_float(v)
-    return json.dumps(str(v))
-
-
-def _json_object(d: dict) -> str:
-    parts = (f"{json.dumps(k)}: {_json_scalar(v)}" for k, v in d.items())
-    return "{" + ", ".join(parts) + "}"
+def _json_object(d: dict, prefixes: dict) -> str:
+    """One JSON object; ``prefixes`` caches the quoted keys per key tuple."""
+    keys = tuple(d)
+    heads = prefixes.get(keys)
+    if heads is None:
+        heads = prefixes[keys] = [json.dumps(k) + ": " for k in keys]
+    body = ", ".join(
+        [h + _scalar(v, "json-lines") for h, v in zip(heads, d.values())]
+    )
+    return "{" + body + "}"
 
 
 def render_record(record: OutputRecord, fmt: str) -> str:
     if fmt == "json-lines":
-        meta = {
-            "schema_version": record.schema_version,
-            "command": record.command,
-        }
+        prefixes: dict = {}
         head = (
-            "{"
-            + ", ".join(f"{json.dumps(k)}: {_json_scalar(v)}" for k, v in meta.items())
-            + f', "parameters": {_json_object(record.parameters)}'
-            + "}"
+            f'{{"schema_version": {_scalar(record.schema_version, fmt)}, '
+            f'"command": {_scalar(record.command, fmt)}, '
+            f'"parameters": {_json_object(record.parameters, prefixes)}}}'
         )
-        lines = [head] + [_json_object(row) for row in record.rows]
+        lines = [head] + [_json_object(row, prefixes) for row in record.rows]
         return "\n".join(lines) + "\n"
     if fmt == "csv":
         buf = io.StringIO()
         buf.write(f"# schema_version={record.schema_version}\n")
         buf.write(f"# command={record.command}\n")
         for k, v in record.parameters.items():
-            buf.write(f"# parameter:{k}={_cell(v)}\n")
+            buf.write(f"# parameter:{k}={_scalar(v, fmt)}\n")
         writer = csv.writer(buf, lineterminator="\n")
         if record.rows:
             columns = list(record.rows[0].keys())
             writer.writerow(columns)
             for row in record.rows:
-                writer.writerow([_cell(row[c]) for c in columns])
+                writer.writerow([_scalar(row[c], fmt) for c in columns])
         return buf.getvalue()
     raise UsageError(f"unknown format: {fmt}")
 
@@ -189,6 +178,12 @@ def parse_record(text: str, fmt: str) -> OutputRecord:
 # -- subcommands -----------------------------------------------------------
 
 
+def _check_rtol(rtol: float) -> None:
+    # NaN fails every comparison, so it lands here too
+    if not ROUNDING_FLOOR < rtol < math.inf:
+        raise UsageError(f"rtol must be a finite number above {ROUNDING_FLOOR:g}")
+
+
 def cmd_constants(
     m_max: int, k_max: int, spacing: float, rtol: float = 1e-12
 ) -> OutputRecord:
@@ -197,6 +192,7 @@ def cmd_constants(
         raise UsageError("degree and order bounds must be non-negative")
     if not (spacing > 0.0):
         raise UsageError("spacing must be positive")
+    _check_rtol(rtol)
     rows = []
     for m in range(m_max + 1):
         for k in range(min(m, k_max) + 1):
@@ -230,29 +226,30 @@ def cmd_symbol(m: int, points: int, rtol: float = 1e-12) -> OutputRecord:
         raise UsageError("degree must be non-negative")
     if points < 2:
         raise UsageError("need at least two sweep points")
+    _check_rtol(rtol)
     grid = np.linspace(0.0, 2.0 * math.pi, points)
     four = symbol_fourier(m, grid)
     efp = symbol_via_ef(m, grid)
-    lattice = [symbol_lattice(m, w, rtol) for w in grid]
-    ratios = ratio_L(m, grid) if m >= 1 else None
-    argmax_idx = int(np.argmax(ratios)) if ratios is not None else -1
-    rows = []
-    for i, w in enumerate(grid):
-        lat = lattice[i]
-        row = {
-            "omega": float(w),
-            "fourier": float(four[i]),
-            "lattice": lat.value,
-            "lattice_tail_bound": lat.tail_bound,
-            "ef_product": float(efp[i]),
-            "diff_fourier_lattice": abs(float(four[i]) - lat.value),
-            "diff_fourier_ef": abs(float(four[i]) - float(efp[i])),
-            "diff_lattice_ef": abs(lat.value - float(efp[i])),
-        }
-        if ratios is not None:
-            row["ratio_L"] = float(ratios[i])
-            row["is_argmax"] = i == argmax_idx
-        rows.append(row)
+    lat = symbol_lattice(m, grid, rtol)
+    columns = {
+        "omega": grid,
+        "fourier": four,
+        "lattice": lat.value,
+        "lattice_tail_bound": lat.tail_bound,
+        "ef_product": efp,
+        "diff_fourier_lattice": np.abs(four - lat.value),
+        "diff_fourier_ef": np.abs(four - efp),
+        "diff_lattice_ef": np.abs(lat.value - efp),
+    }
+    if m >= 1:
+        ratios = ratio_L(m, grid)
+        columns["ratio_L"] = ratios
+        columns["is_argmax"] = np.arange(points) == np.argmax(ratios)
+    names = list(columns)
+    rows = [
+        dict(zip(names, values))
+        for values in zip(*(col.tolist() for col in columns.values()))
+    ]
     params = {"degree": m, "points": points, "rtol": rtol}
     return OutputRecord(command="symbol", parameters=params, rows=rows)
 

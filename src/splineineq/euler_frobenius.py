@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -63,13 +62,17 @@ def ef_coefficients(n: int) -> Array:
 def _exact_sign(coeffs: tuple[int, ...], x: float) -> int:
     """Sign of the integer polynomial at x, evaluated without rounding.
 
-    A float is an exact rational, so Horner over Fraction gives the true
-    sign no matter how wildly the terms cancel.
+    A float is an exact dyadic rational num / 2^k, so integer Horner on
+    2^(k(n-1)) * P(x) gives the true sign no matter how wildly the terms
+    cancel; the positive power of two leaves the sign unchanged.
     """
-    q = Fraction(x)
-    acc = Fraction(0)
+    num, den = x.as_integer_ratio()
+    k = den.bit_length() - 1
+    acc = 0
+    shift = 0
     for c in reversed(coeffs):
-        acc = acc * q + c
+        acc = acc * num + (c << shift)
+        shift += k
     if acc > 0:
         return 1
     if acc < 0:

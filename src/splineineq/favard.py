@@ -10,9 +10,13 @@ from dataclasses import dataclass
 
 from ._series import power_tail, power_tail_bound
 
-__all__ = ["FavardConstant", "favard", "favard_closed_form"]
+__all__ = ["ROUNDING_FLOOR", "FavardConstant", "favard", "favard_closed_form"]
 
 _PI = math.pi
+
+# Relative rounding error charged to every computed constant; a relative
+# tolerance at or below it can never be met.
+ROUNDING_FLOOR = 4e-16
 
 # K_m for m = 0..7.  Exact rational multiples of pi^m; the sequence is
 # sandwiched between 1 and pi/2 and converges to 4/pi from both sides.
@@ -62,8 +66,8 @@ def favard(m: int, rtol: float = 1e-12) -> FavardConstant:
     """
     if m < 0:
         raise ValueError("index must be non-negative")
-    if rtol <= 0.0:
-        raise ValueError("rtol must be positive")
+    if not rtol > ROUNDING_FLOOR:
+        raise ValueError(f"rtol must be a number above {ROUNDING_FLOOR:g}")
     if m == 0:
         return FavardConstant(index=0, value=1.0, series_terms=0, tail_bound=0.0)
 
@@ -77,7 +81,7 @@ def favard(m: int, rtol: float = 1e-12) -> FavardConstant:
             tail = power_tail(2.0 * terms + 1.0, 2.0, p)
             bound = power_tail_bound(2.0 * terms + 1.0, 2.0, p)
             value = pref * (partial + tail)
-            err = pref * bound + 4e-16 * value
+            err = pref * bound + ROUNDING_FLOOR * value
             if err <= rtol * value or terms >= 1 << 22:
                 return FavardConstant(
                     index=m, value=value, series_terms=terms, tail_bound=err
@@ -91,7 +95,7 @@ def favard(m: int, rtol: float = 1e-12) -> FavardConstant:
         )
         omitted = (2.0 * terms + 1.0) ** -p
         value = pref * partial
-        err = pref * omitted + 4e-16 * abs(value)
+        err = pref * omitted + ROUNDING_FLOOR * abs(value)
         if err <= rtol * abs(value) or terms >= 1 << 22:
             return FavardConstant(
                 index=m, value=value, series_terms=terms, tail_bound=err

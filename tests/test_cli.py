@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import math
 
 import pytest
@@ -146,7 +147,10 @@ class TestCommands:
         [
             lambda: cmd_constants(-1, 0, 1.0),
             lambda: cmd_constants(2, 2, 0.0),
+            lambda: cmd_constants(2, 2, 1.0, rtol=math.nan),
             lambda: cmd_symbol(2, 1),
+            lambda: cmd_symbol(2, 5, rtol=0.0),
+            lambda: cmd_symbol(2, 5, rtol=1e-17),
             lambda: cmd_verify(2, 3, 1.0, 5, 0),
             lambda: cmd_verify(2, 1, 1.0, 0, 0),
             lambda: cmd_extremal(0, [1]),
@@ -217,3 +221,68 @@ class TestMain:
         with pytest.raises(SystemExit) as exc:
             main([])
         assert exc.value.code == 2
+
+
+# SHA-256 of stdout for fixed command lines, taken before the vectorised
+# lattice route, integer-Horner root isolation and the merged scalar
+# formatter; output bytes must not move when only speed is changed.
+GOLDEN = [
+    ("constants --max-degree 3", "json-lines",
+     "5c9b835349bfa3a4d4fa5c1e557cdb3ce9c0906ffc9e9298696fddf0b64caf67"),
+    ("constants --max-degree 4 --max-order 2 --spacing 0.5 --rtol 1e-10", "json-lines",
+     "cd6a9cdb286f190737e3d5dfc525f5320f5ff4b2480c8575aa5ddfecfdbc1e8d"),
+    ("symbol --degree 2 --points 9", "json-lines",
+     "c7aa9940971fc930ae281e508c80bd5f4d5c3589716d7ddd8730ddad3dc554ad"),
+    ("symbol --degree 0 --points 5", "json-lines",
+     "b82de6c8533943f2129fd7046285465a74d65efe84402b7aa32491d925e03fd8"),
+    ("symbol --degree 1 --points 7 --rtol 1e-14", "json-lines",
+     "6b6bc360e1a5226917ee60888df506fd554c6c9a0aba82b4fefc60be9dfc444e"),
+    ("verify --degree 3 --order 2 --spacing 0.5 --trials 20 --seed 7", "json-lines",
+     "245d770a2cbb3f8bd7286e258e584b8d001768560e1f799bf01a7203ed519236"),
+    ("extremal --degree 2 --n 0 --n 1 --n 31", "json-lines",
+     "4bd3ca3bc67162a3d13ccda3ecf8fda627823f253ae81a004755ed2ac019ae33"),
+    ("roots --max-order 11", "json-lines",
+     "894717e5be31996ab618a7af614dc14200b98d02e4563d29dd7a07c4ae4963ce"),
+    ("constants --max-degree 3", "csv",
+     "0d5c5632646e55114fc766f9b959b44dbae2eb38295877c927c68646441eced9"),
+    ("constants --max-degree 4 --max-order 2 --spacing 0.5 --rtol 1e-10", "csv",
+     "12acde7a2b04b1a52eedc2dc6e7e7451ec4e6499902bb8c2c84fafc273aff116"),
+    ("symbol --degree 2 --points 9", "csv",
+     "1e6d955d5502b6bb9f8c6e40f1b05e7945c3b9709a54914735ef67931965731b"),
+    ("symbol --degree 0 --points 5", "csv",
+     "b639a39599d1cc969e9590b61e5d200637b94a42f67dea119499da8ffc9fa9ca"),
+    ("symbol --degree 1 --points 7 --rtol 1e-14", "csv",
+     "8cad964cea1e1a2774713452dadc440a34df891abbbc535a906630dc5eceb375"),
+    ("verify --degree 3 --order 2 --spacing 0.5 --trials 20 --seed 7", "csv",
+     "a8379698c87880025d9f2278683423dd319cc555cc209ea9dedb8b8cc72815e6"),
+    ("extremal --degree 2 --n 0 --n 1 --n 31", "csv",
+     "a2645e54e2af52d9257c36869eec0879c1e124ba1df1a10efd76ce91e88b76d5"),
+    ("roots --max-order 11", "csv",
+     "0293b10a63e322c71de24bc2b9e997970afd82504d168ff0eaa535d688d0bf3a"),
+]
+
+
+class TestGoldenOutput:
+    @pytest.mark.parametrize("args,fmt,digest", GOLDEN)
+    def test_stdout_digest(self, capsys, args, fmt, digest):
+        code = main(args.split() + ["--format", fmt])
+        out = capsys.readouterr().out
+        assert code == (2 if "--degree 0" in args else 0)
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+class TestRtolValidation:
+    @pytest.mark.parametrize("rtol", ["0", "-1", "nan", "inf", "-inf", "1e-20", "4e-16"])
+    @pytest.mark.parametrize(
+        "args", [["constants", "--max-degree", "2"], ["symbol", "--degree", "2"]]
+    )
+    def test_unusable_rtol_is_usage_error(self, capsys, args, rtol):
+        assert main(args + [f"--rtol={rtol}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: rtol")
+
+    def test_rtol_just_above_floor_runs(self, capsys):
+        assert main(["constants", "--max-degree", "2", "--rtol", "1e-15"]) == 0
+        record = parse_record(capsys.readouterr().out, "json-lines")
+        assert record.parameters["rtol"] == 1e-15

@@ -1,12 +1,16 @@
 from __future__ import annotations
 
+import hashlib
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from splineineq.cli import main
 from splineineq.euler_frobenius import (
+    _exact_sign,
     ef_coefficients,
     ef_coefficients_exact,
     ef_roots,
@@ -139,3 +143,40 @@ class TestSymbolProduct:
     def test_rejects_negative_degree(self):
         with pytest.raises(ValueError):
             symbol_via_ef(-1, 0.5)
+
+
+def fraction_sign(coeffs, x):
+    """Oracle: Horner over Fraction, the float taken as the exact rational."""
+    q = Fraction(x)
+    acc = Fraction(0)
+    for c in reversed(coeffs):
+        acc = acc * q + c
+    return (acc > 0) - (acc < 0)
+
+
+class TestExactSign:
+    @pytest.mark.parametrize("n", range(1, 42))
+    def test_matches_fraction_horner(self, n):
+        coeffs = ef_coefficients_exact(n)
+        # the first root-search grid, as built for this order
+        bound = 1.0 + float(max(coeffs))
+        grid = -np.geomspace(1.0 / bound, bound, max(96, 24 * n))[::-1]
+        roots = ef_roots(n)
+        near_roots = np.concatenate(
+            [roots, np.nextafter(roots, -np.inf), np.nextafter(roots, 0.0)]
+        )
+        special = [0.0, -0.0, -1.0, 1.0, -5e-324, 2.5e-310, 1e300, -1e300]
+        for x in grid.tolist() + near_roots.tolist() + special:
+            assert _exact_sign(coeffs, x) == fraction_sign(coeffs, x), (n, x)
+
+    @pytest.mark.parametrize("n", range(2, 42, 2))
+    def test_minus_one_is_exact_root_for_even_order(self, n):
+        assert _exact_sign(ef_coefficients_exact(n), -1.0) == 0
+
+    def test_roots_output_unchanged(self, capsys):
+        # digest of `roots --max-order 41` from the Fraction-based isolation
+        assert main(["roots", "--max-order", "41"]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "8eee813ece044f054a85c6cb1eda7e7591dd5cd9d62d657309452661c767ff52"
+        )

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from splineineq.favard import FavardConstant, favard, favard_closed_form
+from splineineq.favard import ROUNDING_FLOOR, FavardConstant, favard, favard_closed_form
 
 CLOSED = {
     0: 1.0,
@@ -57,6 +57,19 @@ class TestFavard:
             favard(3, rtol=0.0)
         with pytest.raises(ValueError):
             favard(3, rtol=-1e-9)
+
+    @pytest.mark.parametrize("rtol", [math.nan, 1e-20, ROUNDING_FLOOR])
+    def test_unreachable_rtol_rejected(self, rtol):
+        # every value carries ROUNDING_FLOOR relative error, so these would
+        # only spin through 4M terms and miss rtol anyway
+        with pytest.raises(ValueError):
+            favard(2, rtol=rtol)
+        with pytest.raises(ValueError):
+            favard(3, rtol=rtol)
+
+    def test_rtol_just_above_floor_is_met(self):
+        got = favard(3, rtol=1e-15)
+        assert got.tail_bound <= 1e-15 * got.value
 
 
 class TestClosedFormTable:

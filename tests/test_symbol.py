@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from splineineq._series import power_tail, power_tail_bound
 from splineineq.symbol import argmax_ratio, ratio_L, symbol_fourier, symbol_lattice
 
 TWO_PI = 2 * math.pi
@@ -93,6 +95,80 @@ class TestSymbolLattice:
             symbol_lattice(-1, 1.0)
         with pytest.raises(ValueError):
             symbol_lattice(2, 1.0, rtol=0.0)
+        with pytest.raises(ValueError):
+            symbol_lattice(2, 1.0, rtol=math.nan)
+
+
+def lattice_reference(m, omega, rtol):
+    """The one-frequency-at-a-time lattice sum: (value, tail_bound)."""
+    p = 2.0 * m + 2.0
+    r = math.remainder(omega, TWO_PI)
+    if r == 0.0:
+        return 1.0, 0.0
+    s = 2.0 * abs(math.sin(0.5 * r))
+    terms = 8
+    while True:
+        ls = np.arange(-terms, terms + 1, dtype=np.float64)
+        vals = (s / np.abs(r + TWO_PI * ls)) ** p
+        partial = math.fsum(sorted(vals))
+        first_up = r + TWO_PI * (terms + 1)
+        first_dn = -(r - TWO_PI * (terms + 1))
+        tail = s**p * (
+            power_tail(first_up, TWO_PI, p) + power_tail(first_dn, TWO_PI, p)
+        )
+        bound = s**p * (
+            power_tail_bound(first_up, TWO_PI, p) + power_tail_bound(first_dn, TWO_PI, p)
+        )
+        value = partial + tail
+        if bound <= rtol * value or terms >= 1 << 22:
+            return value, bound
+        terms *= 2
+
+
+class TestSymbolLatticeArray:
+    # lattice points and their neighbours, plus a spread over several periods
+    OMEGA = np.concatenate(
+        [
+            [0.0, -0.0, TWO_PI, -TWO_PI, 6 * math.pi, 1e-12, -1e-12, 3.0, -3.0],
+            np.linspace(0.0, TWO_PI, 65),
+            np.linspace(-20.0, 20.0, 41),
+        ]
+    )
+
+    # m = 0 and (m = 1, rtol = 1e-14) need two or three doublings past the
+    # first 17 terms; m = 6 and 12 converge with them
+    @pytest.mark.parametrize(
+        "m,rtol", [(0, 1e-12), (1, 1e-14), (1, 1e-6), (2, 1e-12), (6, 1e-13), (12, 1e-12)]
+    )
+    def test_array_matches_scalar_bit_for_bit(self, m, rtol):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = symbol_lattice(m, self.OMEGA, rtol)
+        one_by_one = [symbol_lattice(m, float(w), rtol) for w in self.OMEGA]
+        assert got.value.tobytes() == np.array([e.value for e in one_by_one]).tobytes()
+        assert (
+            got.tail_bound.tobytes()
+            == np.array([e.tail_bound for e in one_by_one]).tobytes()
+        )
+        ref = np.array([lattice_reference(m, float(w), rtol) for w in self.OMEGA])
+        assert got.value.tobytes() == ref[:, 0].tobytes()
+        assert got.tail_bound.tobytes() == ref[:, 1].tobytes()
+
+    def test_lattice_points_exact(self):
+        got = symbol_lattice(3, np.array([0.0, TWO_PI, -4 * math.pi]))
+        assert got.value.tolist() == [1.0, 1.0, 1.0]
+        assert got.tail_bound.tolist() == [0.0, 0.0, 0.0]
+
+    def test_shapes_and_types(self):
+        scalar = symbol_lattice(2, 1.0)
+        assert isinstance(scalar.value, float)
+        assert isinstance(scalar.tail_bound, float)
+        assert isinstance(scalar.omega, float)
+        w = np.linspace(0.1, 3.0, 6).reshape(2, 3)
+        grid = symbol_lattice(2, w)
+        assert grid.value.shape == grid.tail_bound.shape == (2, 3)
+        assert_allclose(grid.value, symbol_fourier(2, w), rtol=1e-12)
+        assert symbol_lattice(2, np.array([])).value.shape == (0,)
 
 
 class TestRatio:
