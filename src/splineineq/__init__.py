@@ -18,7 +18,6 @@ from .bernstein import (
     verify_inequality,
 )
 from .bspline import (
-    BSplineBasis,
     CardinalSpline,
     bspline_derivative,
     eval_bspline,
@@ -34,22 +33,19 @@ from .euler_frobenius import (
     representative_roots,
     symbol_via_ef,
 )
-from .favard import FavardConstant, favard, favard_closed_form
-from .norms import DerivativeSpline, derivative_coeffs, l2_norm_sq, l2_norm_sq_quadrature
-from .symbol import SymbolEval, argmax_ratio, ratio_L, symbol_fourier, symbol_lattice
+from .favard import FavardConstant, favard
+from .norms import derivative_coeffs, l2_norm_sq, l2_norm_sq_quadrature
+from .symbol import SymbolEval, ratio_L, symbol_fourier, symbol_lattice
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BSplineBasis",
     "CardinalSpline",
-    "DerivativeSpline",
     "EulerFrobenius",
     "FavardConstant",
     "InequalityReport",
     "RootCountError",
     "SymbolEval",
-    "argmax_ratio",
     "bspline_derivative",
     "derivative_coeffs",
     "ef_roots",
@@ -57,7 +53,6 @@ __all__ = [
     "eval_bspline",
     "extremal_ratio",
     "favard",
-    "favard_closed_form",
     "fejer_extremal_coeffs",
     "gram_autocorrelation",
     "integer_samples",

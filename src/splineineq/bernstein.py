@@ -58,7 +58,8 @@ def sharp_constant(m: int, k: int, spacing: float = 1.0) -> float:
     """Best possible constant (π/Δ)^k sqrt(K_{2(m-k)+1}/K_{2m+1}).
 
     ``k = 0`` gives exactly 1.  Raises for k > m, where no such bound
-    exists.
+    exists, for a spacing that is not a positive finite number, and when
+    the constant overflows a float.
     """
     if m < 0:
         raise ValueError("degree must be non-negative")
@@ -66,13 +67,20 @@ def sharp_constant(m: int, k: int, spacing: float = 1.0) -> float:
         raise ValueError("derivative order must be non-negative")
     if k > m:
         raise ValueError("derivative order exceeds degree")
-    if not (spacing > 0.0):
-        raise ValueError("spacing must be positive")
+    if not 0.0 < spacing < math.inf:
+        raise ValueError("spacing must be a positive finite number")
     if k == 0:
         return 1.0
     knum = _favard_value(2 * (m - k) + 1)
     kden = _favard_value(2 * m + 1)
-    return (math.pi / spacing) ** k * math.sqrt(knum / kden)
+    try:
+        scale = (math.pi / spacing) ** k
+    except OverflowError:  # float ** int raises where float * float gives inf
+        scale = math.inf
+    constant = scale * math.sqrt(knum / kden)
+    if constant == math.inf:
+        raise ValueError(f"sharp constant overflows at spacing {spacing!r}")
+    return constant
 
 
 def verify_inequality(s: CardinalSpline, k: int) -> InequalityReport:
@@ -80,13 +88,16 @@ def verify_inequality(s: CardinalSpline, k: int) -> InequalityReport:
 
     ``ratio`` is ||s^(k)|| / ||s||, ``margin`` is constant - ratio (never
     negative in exact arithmetic).  Rejects the zero spline, whose ratio
-    is undefined.
+    is undefined, and a spline whose squared norms or ratio overflow.
     """
     norm_sq = l2_norm_sq(s)
     if norm_sq <= 0.0:
         raise ValueError("norm is zero")
     deriv_sq = l2_norm_sq(derivative_coeffs(s, k))
     ratio = math.sqrt(deriv_sq / norm_sq)
+    # NaN fails both comparisons, so an inf - inf in a Gram sum lands here
+    if not (norm_sq < math.inf and ratio < math.inf):
+        raise ValueError(f"norms overflow: squared norms {norm_sq:g} and {deriv_sq:g}")
     constant = sharp_constant(s.degree, k, s.knot_spacing)
     margin = constant - ratio
     return InequalityReport(

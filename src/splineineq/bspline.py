@@ -13,10 +13,8 @@ import numpy.typing as npt
 Array = npt.NDArray[np.float64]
 
 __all__ = [
-    "BSplineBasis",
     "CardinalSpline",
     "eval_bspline",
-    "eval_bspline_truncpow",
     "bspline_derivative",
     "integer_samples",
     "gram_autocorrelation",
@@ -57,8 +55,8 @@ def eval_bspline(m: int, x):
 
     N_m is supported on [0, m+1], nonnegative, integrates to 1, and its
     integer shifts form a partition of unity.  Evaluation uses the two-term
-    degree recurrence; the alternating truncated-power form is available as
-    a cross-check in :func:`eval_bspline_truncpow`.  Piecewise-constant
+    degree recurrence, which stays stable where the alternating
+    truncated-power sum cancels catastrophically.  Piecewise-constant
     pieces (m = 0) are taken right-continuous.
     """
     if m < 0:
@@ -71,25 +69,6 @@ def eval_bspline(m: int, x):
         # the shift g = 0 sits at column m - j0
         out[inside] = w[np.arange(j0.size), m - j0]
     return float(out[0]) if scalar else out
-
-
-def eval_bspline_truncpow(m: int, x: float) -> float:
-    """Degree-m cardinal B-spline via the alternating truncated-power sum.
-
-    Test oracle only: the alternating binomial sum cancels catastrophically
-    for large m, so the recurrence in :func:`eval_bspline` is authoritative.
-    """
-    if m < 0:
-        raise ValueError("degree must be non-negative")
-    x = float(x)
-    terms = []
-    for k in range(m + 2):
-        t = x - k
-        if t < 0.0:
-            break
-        power = 1.0 if m == 0 else t**m
-        terms.append((-1.0) ** k * math.comb(m + 1, k) * power)
-    return math.fsum(terms) / math.factorial(m)
 
 
 def bspline_derivative(m: int, x):
@@ -154,33 +133,6 @@ def gram_autocorrelation(m: int) -> Array:
     return np.array(_autocorr(m), dtype=np.float64)
 
 
-@dataclass(frozen=True)
-class BSplineBasis:
-    """The degree-m cardinal B-spline N_m, supported on [0, m+1]."""
-
-    degree: int
-
-    def __post_init__(self) -> None:
-        if self.degree < 0:
-            raise ValueError("degree must be non-negative")
-
-    @property
-    def support(self) -> tuple[float, float]:
-        return (0.0, float(self.degree + 1))
-
-    def __call__(self, x):
-        return eval_bspline(self.degree, x)
-
-    def derivative(self, x):
-        return bspline_derivative(self.degree, x)
-
-    def integer_samples(self) -> Array:
-        return integer_samples(self.degree)
-
-    def autocorrelation(self) -> Array:
-        return gram_autocorrelation(self.degree)
-
-
 @dataclass(frozen=True, eq=False)
 class CardinalSpline:
     """Finite B-spline series on a uniform knot lattice of spacing Δ.
@@ -199,8 +151,8 @@ class CardinalSpline:
     def __post_init__(self) -> None:
         if self.degree < 0:
             raise ValueError("degree must be non-negative")
-        if not (self.knot_spacing > 0.0):
-            raise ValueError("knot spacing must be positive")
+        if not 0.0 < self.knot_spacing < math.inf:
+            raise ValueError("knot spacing must be a positive finite number")
         c = np.asarray(self.coeffs, dtype=np.float64).ravel()
         c.setflags(write=False)
         object.__setattr__(self, "coeffs", c)

@@ -184,14 +184,27 @@ def _check_rtol(rtol: float) -> None:
         raise UsageError(f"rtol must be a finite number above {ROUNDING_FLOOR:g}")
 
 
+def _check_spacing(spacing: float) -> None:
+    if not 0.0 < spacing < math.inf:
+        raise UsageError("spacing must be a positive finite number")
+
+
+def _sharp_constant(m: int, k: int, spacing: float) -> float:
+    try:
+        return sharp_constant(m, k, spacing)
+    except ValueError as exc:  # the constant overflows at a tiny spacing
+        raise UsageError(str(exc)) from None
+
+
 def cmd_constants(
     m_max: int, k_max: int, spacing: float, rtol: float = 1e-12
 ) -> OutputRecord:
     """Sharp constants and their Favard ingredients for all k ≤ min(m, k_max)."""
     if m_max < 0 or k_max < 0:
         raise UsageError("degree and order bounds must be non-negative")
-    if not (spacing > 0.0):
-        raise UsageError("spacing must be positive")
+    _check_spacing(spacing)
+    if 1.0 / spacing == math.inf:
+        raise UsageError(f"h = 1/spacing overflows at spacing {spacing!r}")
     _check_rtol(rtol)
     rows = []
     for m in range(m_max + 1):
@@ -204,7 +217,7 @@ def cmd_constants(
                     "k": k,
                     "delta": spacing,
                     "h": 1.0 / spacing,
-                    "constant": sharp_constant(m, k, spacing),
+                    "constant": _sharp_constant(m, k, spacing),
                     "K_num_index": num_idx,
                     "K_num": favard(num_idx, rtol).value,
                     "K_den_index": den_idx,
@@ -262,8 +275,7 @@ def cmd_verify(
         raise UsageError("degree must be non-negative")
     if not (0 <= k <= m):
         raise UsageError("order must satisfy 0 <= k <= degree")
-    if not (spacing > 0.0):
-        raise UsageError("spacing must be positive")
+    _check_spacing(spacing)
     if trials < 1:
         raise UsageError("need at least one trial")
     master = np.random.default_rng(seed)
@@ -272,13 +284,16 @@ def cmd_verify(
     worst_ratio = 0.0
     min_margin = math.inf
     all_ok = True
-    constant = sharp_constant(m, k, spacing)
+    constant = _sharp_constant(m, k, spacing)
     for i in range(trials):
         count = int(counts[i])
         rng = np.random.default_rng(seed + i + 1)
         coeffs = rng.uniform(-1.0, 1.0, size=count)
         s = CardinalSpline(degree=m, knot_spacing=spacing, coeffs=coeffs)
-        report = verify_inequality(s, k)
+        try:
+            report = verify_inequality(s, k)
+        except ValueError as exc:  # the norms overflow or underflow to zero
+            raise UsageError(f"trial {i}: {exc}") from None
         worst_ratio = max(worst_ratio, report.ratio)
         min_margin = min(min_margin, report.margin)
         all_ok = all_ok and report.satisfied

@@ -10,26 +10,13 @@ from dataclasses import dataclass
 
 from ._series import power_tail, power_tail_bound
 
-__all__ = ["ROUNDING_FLOOR", "FavardConstant", "favard", "favard_closed_form"]
+__all__ = ["ROUNDING_FLOOR", "FavardConstant", "favard"]
 
 _PI = math.pi
 
 # Relative rounding error charged to every computed constant; a relative
 # tolerance at or below it can never be met.
 ROUNDING_FLOOR = 4e-16
-
-# K_m for m = 0..7.  Exact rational multiples of pi^m; the sequence is
-# sandwiched between 1 and pi/2 and converges to 4/pi from both sides.
-_CLOSED = (
-    1.0,
-    _PI / 2.0,
-    _PI**2 / 8.0,
-    _PI**3 / 24.0,
-    5.0 * _PI**4 / 384.0,
-    _PI**5 / 240.0,
-    61.0 * _PI**6 / 46080.0,
-    17.0 * _PI**7 / 40320.0,
-)
 
 
 @dataclass(frozen=True)
@@ -44,15 +31,6 @@ class FavardConstant:
     value: float
     series_terms: int
     tail_bound: float
-
-
-def favard_closed_form(m: int):
-    """Known closed form of K_m as a float, or None beyond the table."""
-    if m < 0:
-        raise ValueError("index must be non-negative")
-    if m < len(_CLOSED):
-        return _CLOSED[m]
-    return None
 
 
 def favard(m: int, rtol: float = 1e-12) -> FavardConstant:

@@ -20,7 +20,6 @@ __all__ = [
     "symbol_fourier",
     "symbol_lattice",
     "ratio_L",
-    "argmax_ratio",
 ]
 
 _TWO_PI = 2.0 * math.pi
@@ -162,49 +161,3 @@ def ratio_L(m: int, omega):
     out = 4.0 * np.sin(0.5 * w) ** 2 * num / den
     return float(out[0]) if scalar else out
 
-
-def argmax_ratio(m: int, grid_points: int = 4096) -> tuple[float, float]:
-    """Maximize ratio_L over one period; returns (omega, value).
-
-    Scans a uniform grid on [0, 2π), then refines around the best grid
-    point by golden-section search.  The refinement is only kept when it
-    actually improves on the grid value; ties go to the smaller frequency.
-    """
-    if m < 1:
-        raise ValueError("degree must be at least 1")
-    if grid_points < 4:
-        raise ValueError("grid too coarse")
-    grid = _TWO_PI * np.arange(grid_points) / grid_points
-    vals = ratio_L(m, grid)
-    i = int(np.argmax(vals))
-    best_w = float(grid[i])
-    best_v = float(vals[i])
-
-    lo = float(grid[i - 1]) if i > 0 else float(grid[i]) - _TWO_PI / grid_points
-    hi = (
-        float(grid[i + 1])
-        if i + 1 < grid_points
-        else float(grid[i]) + _TWO_PI / grid_points
-    )
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc = float(ratio_L(m, c))
-    fd = float(ratio_L(m, d))
-    for _ in range(80):
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = float(ratio_L(m, c))
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = float(ratio_L(m, d))
-        if b - a < 1e-14 * max(1.0, abs(b)):
-            break
-    w_ref = 0.5 * (a + b)
-    v_ref = float(ratio_L(m, w_ref))
-    if v_ref > best_v or (v_ref == best_v and w_ref < best_w):
-        return w_ref, v_ref
-    return best_w, best_v

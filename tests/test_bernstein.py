@@ -19,6 +19,7 @@ from splineineq.bernstein import (
 )
 from splineineq.bspline import CardinalSpline
 from splineineq.favard import favard
+from splineineq.norms import derivative_coeffs
 
 
 class TestSharpConstant:
@@ -71,6 +72,24 @@ class TestSharpConstant:
             sharp_constant(2, 3, 1.0)
         with pytest.raises(ValueError):
             sharp_constant(2, 1, 0.0)
+        for spacing in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError, match="positive finite"):
+                sharp_constant(2, 1, spacing)
+
+    @pytest.mark.parametrize(
+        "m,k,spacing",
+        [
+            (3, 3, 1e-120),  # (pi/spacing)**3 raises OverflowError
+            (2, 2, 1e-300),
+            (1, 1, 5e-324),  # pi/spacing is already inf
+        ],
+    )
+    def test_overflow_rejected(self, m, k, spacing):
+        with pytest.raises(ValueError, match="overflows"):
+            sharp_constant(m, k, spacing)
+        # the same degree one order lower, or a larger spacing, still fits
+        assert math.isfinite(sharp_constant(m, k - 1, spacing))
+        assert math.isfinite(sharp_constant(m, k, 1e-100))
 
 
 class TestVerifyInequality:
@@ -86,6 +105,14 @@ class TestVerifyInequality:
         s = CardinalSpline(degree=1, knot_spacing=1.0, coeffs=[0.0, 0.0])
         with pytest.raises(ValueError, match="norm is zero"):
             verify_inequality(s, 1)
+
+    @pytest.mark.parametrize("m,k,spacing", [(2, 1, 1e-300), (3, 1, 1e-200)])
+    def test_norm_overflow_rejected(self, m, k, spacing):
+        s = random_spline(m, 20, spacing, seed=3)
+        # the overflowing Gram sums warn on their way to inf and NaN
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="norms overflow"):
+                verify_inequality(s, k)
 
     def test_order_zero_ratio_is_one(self):
         s = CardinalSpline(degree=3, knot_spacing=0.5, coeffs=[1.0, 2.0])
@@ -124,9 +151,8 @@ class TestVerifyInequality:
         # chaining two first-derivative bounds
         s = random_spline(4, 12, 1.0, seed=99)
         direct = verify_inequality(s, 2)
-        from splineineq.norms import derivative_coeffs
-
-        step = verify_inequality(derivative_coeffs(s, 1).as_spline(), 1)
+        step = verify_inequality(derivative_coeffs(s, 1), 1)
+        assert step.degree == 3
         first = verify_inequality(s, 1)
         assert direct.ratio <= first.ratio * step.ratio * (1 + 1e-12)
         assert direct.constant <= first.constant * step.constant * (1 + 1e-12)

@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import math
 
+import numpy as np
 import pytest
 
 from splineineq import cli
@@ -286,3 +287,28 @@ class TestRtolValidation:
         assert main(["constants", "--max-degree", "2", "--rtol", "1e-15"]) == 0
         record = parse_record(capsys.readouterr().out, "json-lines")
         assert record.parameters["rtol"] == 1e-15
+
+
+class TestSpacingValidation:
+    @pytest.mark.parametrize(
+        "args",
+        [
+            "verify --degree 2 --order 1 --spacing inf",
+            "constants --max-degree 2 --spacing inf",
+            "constants --max-degree 2 --spacing nan",
+            # h = 1/spacing overflows even where every constant is 1
+            "constants --max-degree 0 --spacing 5e-324",
+            # (pi/spacing)**k overflows
+            "verify --degree 3 --order 3 --spacing 1e-120",
+            "constants --max-degree 2 --spacing 1e-300",
+            # the constant fits, the squared norms do not
+            "verify --degree 2 --order 1 --spacing 1e-300",
+        ],
+    )
+    def test_unusable_spacing_is_usage_error(self, capsys, args):
+        # the overflowing Gram sums warn on their way to inf and NaN
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(args.split()) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from splineineq.favard import ROUNDING_FLOOR, FavardConstant, favard, favard_closed_form
+from splineineq.favard import ROUNDING_FLOOR, FavardConstant, favard
 
 CLOSED = {
     0: 1.0,
@@ -71,15 +71,3 @@ class TestFavard:
         got = favard(3, rtol=1e-15)
         assert got.tail_bound <= 1e-15 * got.value
 
-
-class TestClosedFormTable:
-    @pytest.mark.parametrize("m,expected", sorted(CLOSED.items()))
-    def test_table(self, m, expected):
-        assert favard_closed_form(m) == pytest.approx(expected, rel=0, abs=0)
-
-    def test_beyond_table(self):
-        assert favard_closed_form(8) is None
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            favard_closed_form(-1)

@@ -5,12 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from splineineq.bspline import CardinalSpline
-from splineineq.norms import (
-    DerivativeSpline,
-    derivative_coeffs,
-    l2_norm_sq,
-    l2_norm_sq_quadrature,
-)
+from splineineq.norms import derivative_coeffs, l2_norm_sq, l2_norm_sq_quadrature
 
 
 def make(degree, coeffs, spacing=1.0, offset=0):
@@ -42,14 +37,16 @@ class TestDerivativeCoeffs:
         once = derivative_coeffs(s, 1)
         twice_chained = derivative_coeffs(once, 1)
         twice_direct = derivative_coeffs(s, 2)
-        assert twice_chained.order == 2
+        assert twice_chained.degree == twice_direct.degree == 3
         assert np.array_equal(twice_chained.coeffs, twice_direct.coeffs)
+        thrice_chained = derivative_coeffs(derivative_coeffs(once, 1), 1)
+        assert np.array_equal(thrice_chained.coeffs, derivative_coeffs(s, 3).coeffs)
 
     def test_order_zero_is_identity(self):
-        s = make(2, [3.0, 1.0])
+        s = make(2, [3.0, 1.0], spacing=0.5, offset=-2)
         d = derivative_coeffs(s, 0)
         assert_allclose(d.coeffs, s.coeffs)
-        assert d.degree == 2
+        assert (d.degree, d.knot_spacing, d.offset) == (2, 0.5, -2)
 
     def test_order_above_degree_rejected(self):
         with pytest.raises(ValueError, match="exceeds degree"):
@@ -63,10 +60,10 @@ class TestDerivativeCoeffs:
         with pytest.raises(TypeError):
             derivative_coeffs(np.array([1.0, 2.0]), 1)
 
-    def test_as_spline_evaluates_to_derivative(self):
+    def test_evaluates_to_derivative(self):
         rng = np.random.default_rng(11)
         s = make(3, rng.normal(size=7), spacing=0.8, offset=-1)
-        ds = derivative_coeffs(s, 1).as_spline()
+        ds = derivative_coeffs(s, 1)
         x = np.linspace(-2, 8, 300)
         h = 1e-6
         numeric = (s(x + h) - s(x - h)) / (2 * h)
@@ -94,14 +91,18 @@ class TestL2Norm:
         c = [1.0, 2.0, -0.5]
         assert l2_norm_sq(make(3, c, offset=0)) == l2_norm_sq(make(3, c, offset=-7))
 
-    def test_accepts_derivative_wrapper(self):
+    def test_derivative_norm_is_norm_of_its_coefficients(self):
         s = make(3, [1.0, 0.0, -2.0], spacing=0.5)
         d = derivative_coeffs(s, 2)
-        assert l2_norm_sq(d) == pytest.approx(l2_norm_sq(d.as_spline()), rel=1e-14)
+        assert np.array_equal(d.coeffs, [4.0, -8.0, -4.0, 16.0, -8.0])
+        # degree 1: a_0 = 2/3, a_1 = 1/6; 0.5 * (2/3 * 416 + 2/6 * -192)
+        assert l2_norm_sq(d) == pytest.approx(320 / 3, rel=1e-14)
 
     def test_wrong_type_rejected(self):
         with pytest.raises(TypeError):
             l2_norm_sq([1.0, 2.0])
+        with pytest.raises(TypeError):
+            l2_norm_sq_quadrature([1.0, 2.0])
 
     @pytest.mark.parametrize("m", range(5))
     @pytest.mark.parametrize("spacing", [0.5, 1.0, 2.0])
@@ -127,11 +128,9 @@ class TestDerivativeSpline:
     def test_fields(self):
         s = make(4, [1.0, 2.0], spacing=2.0, offset=3)
         d = derivative_coeffs(s, 2)
-        assert isinstance(d, DerivativeSpline)
-        assert d.base is s
-        assert d.order == 2
+        assert type(d) is CardinalSpline
         assert d.degree == 2
-        back = d.as_spline()
-        assert back.degree == 2
-        assert back.knot_spacing == 2.0
-        assert back.offset == 3
+        assert d.knot_spacing == 2.0
+        assert d.offset == 3
+        assert not d.coeffs.flags.writeable
+

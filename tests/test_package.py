@@ -1,7 +1,11 @@
 from __future__ import annotations
 
+import importlib
+import pkgutil
 import re
 from pathlib import Path
+
+import pytest
 
 import splineineq
 
@@ -20,3 +24,19 @@ def test_readme_imports_are_exported():
 def test_all_names_resolve():
     for name in splineineq.__all__:
         assert hasattr(splineineq, name), name
+
+
+LAYERS = sorted(
+    info.name
+    for info in pkgutil.iter_modules(splineineq.__path__)
+    if not info.name.startswith("_")
+)
+
+
+@pytest.mark.parametrize("layer", LAYERS)
+def test_layer_all_names_resolve(layer):
+    # import_module, not getattr on the package: splineineq.favard is the
+    # function of that name
+    mod = importlib.import_module(f"splineineq.{layer}")
+    missing = [name for name in mod.__all__ if not hasattr(mod, name)]
+    assert not missing, missing

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from splineineq._series import power_tail, power_tail_bound
-from splineineq.symbol import argmax_ratio, ratio_L, symbol_fourier, symbol_lattice
+from splineineq.symbol import ratio_L, symbol_fourier, symbol_lattice
 
 TWO_PI = 2 * math.pi
 
@@ -204,22 +204,3 @@ class TestRatio:
         with pytest.raises(ValueError):
             ratio_L(0, 1.0)
 
-
-class TestArgmax:
-    @pytest.mark.parametrize("m", range(1, 7))
-    def test_peak_at_pi(self, m):
-        w, v = argmax_ratio(m)
-        assert w == pytest.approx(math.pi, abs=1e-6)
-        assert v == pytest.approx(float(ratio_L(m, math.pi)), rel=1e-12)
-
-    def test_refinement_beats_coarse_grid(self):
-        # an odd-sized grid has no point at pi; refinement recovers it
-        w, v = argmax_ratio(2, grid_points=15)
-        assert v > float(np.max(ratio_L(2, TWO_PI * np.arange(15) / 15)))
-        assert w == pytest.approx(math.pi, abs=1e-6)
-
-    def test_invalid_inputs(self):
-        with pytest.raises(ValueError):
-            argmax_ratio(0)
-        with pytest.raises(ValueError):
-            argmax_ratio(2, grid_points=3)
