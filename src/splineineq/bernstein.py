@@ -19,7 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .bspline import CardinalSpline
+from .bspline import CardinalSpline, _reject
 from .favard import favard
 from .norms import derivative_coeffs, l2_norm_sq
 
@@ -41,6 +41,12 @@ REPORT_SLACK = 1e-10
 
 @dataclass(frozen=True)
 class InequalityReport:
+    """Verdict of verify_inequality.
+
+    ``ratio``, ``margin`` and ``satisfied`` are a float, a float and a bool
+    for one spline, and arrays with one entry per row for a stack.
+    """
+
     degree: int
     order: int
     ratio: float
@@ -80,33 +86,45 @@ def sharp_constant(m: int, k: int, spacing: float = 1.0) -> float:
     constant = scale * math.sqrt(knum / kden)
     if constant == math.inf:
         raise ValueError(f"sharp constant overflows at spacing {spacing!r}")
+    if constant == 0.0:
+        # a zero bound would pass only splines whose derivative norm
+        # underflowed as well: a vacuous verdict
+        raise ValueError(f"sharp constant underflows to zero at spacing {spacing!r}")
     return constant
 
 
 def verify_inequality(s: CardinalSpline, k: int) -> InequalityReport:
-    """Check one spline against the sharp bound for its k-th derivative.
+    """Check one spline, or each row of a (batch, n) stack, against the bound.
 
     ``ratio`` is ||s^(k)|| / ||s||, ``margin`` is constant - ratio (never
-    negative in exact arithmetic).  Rejects the zero spline, whose ratio
-    is undefined, and a spline whose squared norms or ratio overflow.
+    negative in exact arithmetic).  For a stack, ``ratio``, ``margin`` and
+    ``satisfied`` are arrays with one entry per row, each equal to the
+    float the row alone gives.  Rejects the zero spline, whose ratio is
+    undefined, a spline whose squared norms or ratio overflow, and one
+    whose derivative norm underflows to zero; for a stack the error names
+    the first such row.
     """
     norm_sq = l2_norm_sq(s)
-    if norm_sq <= 0.0:
-        raise ValueError("norm is zero")
+    _reject(norm_sq <= 0.0, "norm is zero")
     deriv_sq = l2_norm_sq(derivative_coeffs(s, k))
-    ratio = math.sqrt(deriv_sq / norm_sq)
-    # NaN fails both comparisons, so an inf - inf in a Gram sum lands here
-    if not (norm_sq < math.inf and ratio < math.inf):
-        raise ValueError(f"norms overflow: squared norms {norm_sq:g} and {deriv_sq:g}")
+    # differencing is injective, so only underflow zeroes a derivative norm
+    if k >= 1:
+        _reject(deriv_sq == 0.0, "derivative norm underflows to zero")
+    with np.errstate(over="ignore"):
+        ratio = np.sqrt(deriv_sq / norm_sq)
+    _reject(ratio == math.inf, "norms overflow: the ratio of the norms is not finite")
     constant = sharp_constant(s.degree, k, s.knot_spacing)
     margin = constant - ratio
+    satisfied = ratio <= constant * (1.0 + REPORT_SLACK)
+    if s.coeffs.ndim == 1:  # numpy scalars to Python ones
+        ratio, margin, satisfied = ratio.item(), margin.item(), satisfied.item()
     return InequalityReport(
         degree=s.degree,
         order=k,
         ratio=ratio,
         constant=constant,
         margin=margin,
-        satisfied=ratio <= constant * (1.0 + REPORT_SLACK),
+        satisfied=satisfied,
     )
 
 

@@ -141,6 +141,11 @@ class CardinalSpline:
     piecewise polynomial of degree ≤ m on each knot interval with m-1
     continuous derivatives, automatically in L2 because the coefficient
     support is finite.
+
+    ``coeffs`` of shape ``(batch, n)`` is a stack of splines that share
+    degree, spacing and offset, one per row; derivatives, norms and the
+    inequality check act row by row, while evaluation needs a single
+    spline.  Coefficients must be finite.
     """
 
     degree: int
@@ -153,7 +158,15 @@ class CardinalSpline:
             raise ValueError("degree must be non-negative")
         if not 0.0 < self.knot_spacing < math.inf:
             raise ValueError("knot spacing must be a positive finite number")
-        c = np.asarray(self.coeffs, dtype=np.float64).ravel()
+        # C order: a strided BLAS dot need not give the contiguous one's bits
+        c = np.asarray(self.coeffs, dtype=np.float64, order="C")
+        if c.ndim > 2:
+            raise ValueError("coefficients must be a vector or a (batch, n) stack")
+        # a view, so that freezing it leaves the caller's array writable
+        c = c.reshape(c.shape if c.ndim == 2 else -1)
+        # min and max propagate NaN and read c without a temporary
+        if c.size and not (math.isfinite(c.min()) and math.isfinite(c.max())):
+            _reject(~np.isfinite(c).all(axis=-1), "coefficients must be finite")
         c.setflags(write=False)
         object.__setattr__(self, "coeffs", c)
         object.__setattr__(self, "knot_spacing", float(self.knot_spacing))
@@ -161,17 +174,37 @@ class CardinalSpline:
 
     @property
     def support(self) -> tuple[float, float]:
-        """Smallest closed interval outside which the spline vanishes."""
+        """Smallest closed interval outside which the spline (every row) vanishes."""
         lo = self.knot_spacing * self.offset
-        hi = self.knot_spacing * (self.offset + len(self.coeffs) + self.degree)
+        hi = self.knot_spacing * (self.offset + self.coeffs.shape[-1] + self.degree)
         return (lo, hi)
 
     def __call__(self, x):
         return spline_eval(self, x)
 
 
+def _reject(bad, message: str) -> None:
+    """Raise ValueError if ``bad`` flags a row, naming the first one.
+
+    ``bad`` is a boolean array with one entry per row of a stack, or a
+    single bool for one spline.
+    """
+    if isinstance(bad, np.ndarray):
+        if bad.any():
+            raise ValueError(f"row {bad.argmax()}: {message}")
+    elif bad:
+        raise ValueError(message)
+
+
+def _require_single(s: CardinalSpline) -> None:
+    """Reject a (batch, n) stack where one spline is needed."""
+    if s.coeffs.ndim != 1:
+        raise ValueError("needs a single spline, not a (batch, n) stack")
+
+
 def spline_eval(s: CardinalSpline, x):
     """Evaluate the spline at x; only the ≤ m+1 overlapping shifts are used."""
+    _require_single(s)
     u, scalar = _prepare(x)
     c = s.coeffs
     if c.size == 0:

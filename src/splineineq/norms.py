@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 import numpy.typing as npt
 
-from .bspline import CardinalSpline, gram_autocorrelation
+from .bspline import CardinalSpline, _reject, _require_single, gram_autocorrelation
 
 Array = npt.NDArray[np.float64]
 
@@ -28,11 +28,6 @@ def _require_spline(s) -> None:
         raise TypeError("expected a CardinalSpline")
 
 
-def _single_diff(coeffs: Array, spacing: float) -> Array:
-    padded = np.concatenate(([0.0], coeffs, [0.0]))
-    return (padded[1:] - padded[:-1]) / spacing
-
-
 def derivative_coeffs(s: CardinalSpline, k: int) -> CardinalSpline:
     """The k-th derivative of s, a CardinalSpline of degree s.degree - k.
 
@@ -41,7 +36,8 @@ def derivative_coeffs(s: CardinalSpline, k: int) -> CardinalSpline:
     exceed the degree.  The k-fold difference keeps the leading knot
     fixed, so spacing and offset carry over, and orders compose:
     differentiating i times and then j times gives the same floats as
-    differentiating i + j times.
+    differentiating i + j times.  A (batch, n) stack is differenced row
+    by row.
     """
     if k < 0:
         raise ValueError("derivative order must be non-negative")
@@ -49,26 +45,55 @@ def derivative_coeffs(s: CardinalSpline, k: int) -> CardinalSpline:
     if k > s.degree:
         raise ValueError("derivative order exceeds degree")
     c = s.coeffs
-    for _ in range(k):
-        c = _single_diff(c, s.knot_spacing)
+    h = s.knot_spacing
+    # a difference of huge coefficients, or one divided by a tiny spacing,
+    # may overflow; CardinalSpline rejects the non-finite result
+    with np.errstate(over="ignore"):
+        for _ in range(k):
+            n = c.shape[-1]
+            d = np.zeros(c.shape[:-1] + (n + 1,))
+            if n:
+                # the zero padding written out: c[0] - 0.0 is c[0] to the
+                # bit, and 0.0 - c[-1] (unlike -c[-1]) maps -0.0 to +0.0
+                d[..., 0] = c[..., 0]
+                np.subtract(c[..., 1:], c[..., :-1], out=d[..., 1:-1])
+                np.subtract(0.0, c[..., -1], out=d[..., -1])
+            d /= h
+            c = d
     return CardinalSpline(
-        degree=s.degree - k, knot_spacing=s.knot_spacing, coeffs=c, offset=s.offset
+        degree=s.degree - k, knot_spacing=h, coeffs=c, offset=s.offset
     )
 
 
-def l2_norm_sq(s: CardinalSpline) -> float:
+def l2_norm_sq(s: CardinalSpline) -> float | Array:
     """Squared L2 norm over the real line, exact up to rounding.
 
     ``∫ s² = Δ · Σ_{g,g'} c_g c_{g'} a_{|g-g'|}`` with the banded
-    autocorrelations of the underlying B-spline.
+    autocorrelations of the underlying B-spline.  Returns a float, or one
+    value per row of a (batch, n) stack; every row goes through the same
+    floating-point operations as it would alone.  Raises ValueError when
+    a squared norm overflows.
     """
     _require_spline(s)
     a = gram_autocorrelation(s.degree)
     c = s.coeffs
-    total = a[0] * float(c @ c)
-    for j in range(1, min(s.degree, c.size - 1) + 1):
-        total += 2.0 * a[j] * float(c[:-j] @ c[j:])
-    return s.knot_spacing * total
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = a[0] * _row_dots(c, c)
+        for j in range(1, min(s.degree, c.shape[-1] - 1) + 1):
+            total += 2.0 * a[j] * _row_dots(c[..., :-j], c[..., j:])
+        total *= s.knot_spacing
+    _reject(~np.isfinite(total), "norms overflow: a squared norm is not finite")
+    return total if c.ndim == 2 else float(total)
+
+
+def _row_dots(x: Array, y: Array):
+    """x[i] @ y[i] for every row i, or x @ y for vectors.
+
+    ``(B, 1, n) @ (B, n, 1)`` takes numpy's vector-vector loop: one BLAS
+    dot per row, bit for bit the dot of that row alone (einsum is not).
+    A vector pair gives a numpy scalar.
+    """
+    return (x[..., None, :] @ y[..., :, None])[..., 0, 0][()]
 
 
 def l2_norm_sq_quadrature(s: CardinalSpline) -> float:
@@ -79,6 +104,7 @@ def l2_norm_sq_quadrature(s: CardinalSpline) -> float:
     two routes agree to rounding.
     """
     _require_spline(s)
+    _require_single(s)
     lo, hi = s.support
     cells = len(s.coeffs) + s.degree
     if cells <= 0:

@@ -92,6 +92,17 @@ class TestSharpConstant:
         assert math.isfinite(sharp_constant(m, k, 1e-100))
 
 
+    @pytest.mark.parametrize(
+        "m,k,spacing", [(3, 2, 1e200), (2, 2, 1e170), (6, 3, 1e120)]
+    )
+    def test_underflow_rejected(self, m, k, spacing):
+        with pytest.raises(ValueError, match="underflows to zero"):
+            sharp_constant(m, k, spacing)
+
+    def test_order_zero_never_underflows(self):
+        assert sharp_constant(3, 0, 1e300) == 1.0
+
+
 class TestVerifyInequality:
     def test_report_shape(self):
         s = CardinalSpline(degree=2, knot_spacing=1.0, coeffs=[1.0, -0.5, 2.0])
@@ -113,6 +124,13 @@ class TestVerifyInequality:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(ValueError, match="norms overflow"):
                 verify_inequality(s, k)
+
+    def test_derivative_underflow_rejected(self):
+        # the constant pi/spacing fits; the squared derivative coefficients
+        # (about 1e-340) do not, which used to read as ratio 0 and a pass
+        s = random_spline(1, 5, 1e170, seed=4)
+        with pytest.raises(ValueError, match="derivative norm underflows to zero"):
+            verify_inequality(s, 1)
 
     def test_order_zero_ratio_is_one(self):
         s = CardinalSpline(degree=3, knot_spacing=0.5, coeffs=[1.0, 2.0])
@@ -206,3 +224,39 @@ class TestRandomSpline:
     def test_needs_a_coefficient(self):
         with pytest.raises(ValueError):
             random_spline(2, 0, 1.0, seed=0)
+
+
+class TestVerifyStack:
+    def test_rows_match_single_splines(self):
+        rng = np.random.default_rng(5)
+        rows = rng.uniform(-1.0, 1.0, size=(7, 9))
+        for m, k in [(0, 0), (3, 1), (6, 6)]:
+            stack = CardinalSpline(degree=m, knot_spacing=0.5, coeffs=rows)
+            rep = verify_inequality(stack, k)
+            assert rep.ratio.shape == rep.margin.shape == rep.satisfied.shape == (7,)
+            assert rep.satisfied.dtype == bool
+            for i, row in enumerate(rows):
+                single = CardinalSpline(degree=m, knot_spacing=0.5, coeffs=row)
+                one = verify_inequality(single, k)
+                assert type(one.ratio) is float and type(one.satisfied) is bool
+                assert one.constant == rep.constant
+                assert (one.ratio, one.margin, one.satisfied) == (
+                    rep.ratio[i].item(), rep.margin[i].item(), rep.satisfied[i].item()
+                )
+
+    def test_error_names_first_bad_row(self):
+        rows = np.ones((5, 3))
+        rows[2] = 0.0
+        rows[4] = 0.0
+        s = CardinalSpline(degree=2, knot_spacing=1.0, coeffs=rows)
+        with pytest.raises(ValueError, match="^row 2: norm is zero"):
+            verify_inequality(s, 1)
+
+    def test_underflow_names_first_bad_row(self):
+        # at spacing 1e100 the second derivative of row 0 (about 1e100)
+        # keeps a norm; those of the unit rows square to about 1e-400
+        rows = np.ones((3, 4))
+        rows[0] *= 1e100
+        s = CardinalSpline(degree=2, knot_spacing=1e100, coeffs=rows)
+        with pytest.raises(ValueError, match="^row 1: derivative norm underflows"):
+            verify_inequality(s, 2)

@@ -214,3 +214,37 @@ class TestCardinalSpline:
         x = np.linspace(-1, 6, 50)
         assert_allclose(s(x), spline_eval(s, x), rtol=0, atol=0)
 
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_coefficients_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            CardinalSpline(degree=2, knot_spacing=1.0, coeffs=[1.0, bad])
+        stack = np.ones((4, 3))
+        stack[2, 1] = bad
+        with pytest.raises(ValueError, match="^row 2: coefficients must be finite"):
+            CardinalSpline(degree=2, knot_spacing=1.0, coeffs=stack)
+
+    def test_callers_array_stays_writable(self):
+        for c in (np.array([1.0, 2.0]), np.ones((2, 3))):
+            s = CardinalSpline(degree=1, knot_spacing=1.0, coeffs=c)
+            assert not s.coeffs.flags.writeable
+            c[0] = 5.0
+            assert s.coeffs.flat[0] == 5.0  # a view, not a copy
+
+
+class TestStack:
+    def test_rows_share_degree_spacing_offset(self):
+        s = CardinalSpline(degree=2, knot_spacing=0.5, coeffs=np.ones((3, 4)), offset=1)
+        assert s.coeffs.shape == (3, 4)
+        assert s.support == (0.5, 0.5 * (1 + 4 + 2))
+
+    def test_evaluation_needs_one_spline(self):
+        s = CardinalSpline(degree=2, knot_spacing=1.0, coeffs=np.ones((3, 4)))
+        with pytest.raises(ValueError, match="stack"):
+            s(0.5)
+        with pytest.raises(ValueError, match="stack"):
+            spline_eval(s, [0.5, 1.5])
+
+    def test_more_than_two_axes_rejected(self):
+        with pytest.raises(ValueError, match="stack"):
+            CardinalSpline(degree=1, knot_spacing=1.0, coeffs=np.ones((2, 2, 2)))

@@ -1,13 +1,21 @@
 from __future__ import annotations
 
 import hashlib
+import importlib
 import math
+import os
+import subprocess
+import sys
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import splineineq
 from splineineq import cli
-from splineineq.bernstein import InequalityReport
+from splineineq.bernstein import InequalityReport, verify_inequality
+from splineineq.bspline import CardinalSpline
 from splineineq.cli import (
     OutputRecord,
     cmd_constants,
@@ -312,3 +320,144 @@ class TestSpacingValidation:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ")
+
+
+class TestHugeSpacing:
+    """Underflow is a usage error, not a vacuous pass."""
+
+    @pytest.mark.parametrize(
+        "args,message",
+        [
+            # (pi/spacing)**2 underflows to 0.0
+            ("verify --degree 3 --order 2 --spacing 1e200 --trials 3",
+             "error: sharp constant underflows to zero"),
+            # the constant fits, the derivative's squared norm does not
+            ("verify --degree 1 --order 1 --spacing 1e170 --trials 3",
+             "error: trial 0: derivative norm underflows to zero"),
+            ("constants --max-degree 2 --spacing 1e200",
+             "error: sharp constant underflows to zero"),
+        ],
+    )
+    def test_underflow_is_usage_error(self, capsys, args, message):
+        assert main(args.split()) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(message)
+
+
+class TestOverflowStderr:
+    ARGS = ["verify", "--degree", "2", "--order", "1", "--spacing", "1e-300"]
+
+    def test_no_warning_in_process(self, capsys):
+        # no errstate wrapper: RuntimeWarning is an error in this suite
+        assert main(self.ARGS) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: trial 0: norms overflow")
+        assert captured.err.count("\n") == 1
+
+    def test_stderr_is_one_line(self):
+        src = str(Path(splineineq.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-m", "splineineq", *self.ARGS],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
+            check=False,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        [line] = proc.stderr.splitlines()
+        assert line.startswith("error: trial 0: norms overflow")
+
+
+def verify_reference(m, k, spacing, trials, seed):
+    """The per-trial audit loop that batching replaced, kept as an oracle."""
+    counts = np.random.default_rng(seed).integers(1, 41, size=trials)
+    constant = cli._sharp_constant(m, k, spacing)
+    rows = []
+    worst_ratio, min_margin, all_ok = 0.0, math.inf, True
+    for i in range(trials):
+        count = int(counts[i])
+        coeffs = np.random.default_rng(seed + i + 1).uniform(-1.0, 1.0, size=count)
+        report = verify_inequality(
+            CardinalSpline(degree=m, knot_spacing=spacing, coeffs=coeffs), k
+        )
+        worst_ratio = max(worst_ratio, report.ratio)
+        min_margin = min(min_margin, report.margin)
+        all_ok = all_ok and report.satisfied
+        rows.append({"kind": "trial", "trial": i, "coeff_count": count,
+                     "ratio": report.ratio, "constant": constant,
+                     "margin": report.margin, "satisfied": report.satisfied})
+    rows.append({"kind": "summary", "trial": None, "coeff_count": None,
+                 "ratio": worst_ratio, "constant": constant,
+                 "margin": min_margin, "satisfied": all_ok})
+    params = {"degree": m, "order": k, "spacing": spacing, "trials": trials,
+              "seed": seed}
+    return OutputRecord(command="verify", parameters=params, rows=rows)
+
+
+class TestBatchedVerify:
+    @pytest.mark.parametrize(
+        "m,k,spacing,seed", [(0, 0, 1.0, 3), (3, 2, 0.5, 7), (12, 12, 2.0, 5)]
+    )
+    @pytest.mark.parametrize("trials", [1, 1023, 1024, 1025, 2500])
+    def test_matches_per_trial_loop(self, m, k, spacing, seed, trials):
+        got = cmd_verify(m, k, spacing, trials, seed)
+        want = verify_reference(m, k, spacing, trials, seed)
+        for fmt in ("json-lines", "csv"):
+            assert render_record(got, fmt) == render_record(want, fmt)
+        for row in got.rows:
+            assert type(row["ratio"]) is float and type(row["margin"]) is float
+            assert type(row["satisfied"]) is bool
+
+    def test_reports_lowest_failing_trial(self, monkeypatch):
+        # make every spline of two coefficient counts fail: the larger count
+        # comes first in trial order, the smaller first in the batch order
+        trials, seed = 300, 2
+        counts = np.random.default_rng(seed).integers(1, 41, size=trials).tolist()
+        big = counts[0]
+        small = next(c for c in counts if c < big)
+        assert counts.index(small) > 0
+
+        def failing(s, k):
+            if s.coeffs.shape[-1] in (big, small):
+                raise ValueError("forged failure")
+            return verify_inequality(s, k)
+
+        monkeypatch.setattr(cli, "verify_inequality", failing)
+        with pytest.raises(cli.UsageError, match="^trial 0: forged failure$"):
+            cmd_verify(2, 1, 1.0, trials, seed)
+
+
+def test_layers_the_bench_tracer_wraps_are_reached(monkeypatch):
+    """A traced audit fails if a wrapped layer records no calls.
+
+    The tracer wraps each function by name in every splineineq namespace
+    that holds it, and numpy.random.default_rng; so must this test.
+    """
+    calls = Counter()
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    targets = [("bernstein", "verify_inequality"), ("bernstein", "sharp_constant"),
+               ("norms", "l2_norm_sq"), ("norms", "derivative_coeffs"),
+               ("bspline", "gram_autocorrelation")]
+    wrappers = {}
+    for layer, name in targets:
+        fn = getattr(importlib.import_module(f"splineineq.{layer}"), name)
+        wrappers[id(fn)] = counting(f"{layer}.{name}", fn)
+    for modname, mod in list(sys.modules.items()):
+        if modname == "splineineq" or modname.startswith("splineineq."):
+            for attr, obj in list(vars(mod).items()):
+                if id(obj) in wrappers:
+                    monkeypatch.setattr(mod, attr, wrappers[id(obj)])
+    rng = counting("rng", np.random.default_rng)
+    monkeypatch.setattr(np.random, "default_rng", rng)
+
+    cmd_verify(4, 2, 0.5, trials=1500, seed=3)
+    assert calls["rng"] == 1500 + 1
+    for layer, name in targets:
+        assert calls[f"{layer}.{name}"] > 0, name

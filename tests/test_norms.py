@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from splineineq.bspline import CardinalSpline
+from splineineq.bspline import CardinalSpline, gram_autocorrelation
 from splineineq.norms import derivative_coeffs, l2_norm_sq, l2_norm_sq_quadrature
 
 
@@ -134,3 +134,115 @@ class TestDerivativeSpline:
         assert d.offset == 3
         assert not d.coeffs.flags.writeable
 
+
+
+def bits(x) -> bytes:
+    return np.asarray(x, dtype=np.float64).tobytes()
+
+
+def diff_reference(c, k, spacing):
+    """The differencing the stacked kernel replaced: pad, subtract, divide."""
+    for _ in range(k):
+        padded = np.concatenate(([0.0], c, [0.0]))
+        c = (padded[1:] - padded[:-1]) / spacing
+    return c
+
+
+def norm_reference(c, m, spacing):
+    """The Gram form the stacked kernel replaced, one 1-D dot per band."""
+    a = gram_autocorrelation(m)
+    total = a[0] * float(c @ c)
+    for j in range(1, min(m, c.size - 1) + 1):
+        total += 2.0 * a[j] * float(c[:-j] @ c[j:])
+    return spacing * total
+
+
+def edge_rows(n, rng):
+    """Random rows, some starting or ending in +-0.0, scaled apart."""
+    scale = np.array([[1.0], [1e3], [1.0], [1.0], [1e-3]])
+    rows = rng.uniform(-1.0, 1.0, size=(5, n)) * scale
+    rows[1, 0], rows[1, -1] = -0.0, 0.0
+    rows[2, 0], rows[2, -1] = 0.0, -0.0
+    rows[3, -1] = -0.0
+    return rows
+
+
+class TestStackedKernels:
+    """A stack gives every row the floats it gets alone, bit for bit.
+
+    Lengths 1..45 cross the 16-element block of the BLAS dot kernel.
+    """
+
+    @pytest.mark.parametrize("m", range(13))
+    def test_rows_match_single_splines(self, m):
+        rng = np.random.default_rng(m)
+        for n in range(1, 46):
+            # each spacing meets every order and both sides of 16 and 32
+            spacing = (0.5, 1.0, 3.0)[n % 3]
+            rows = edge_rows(n, rng)
+            stack = make(m, rows, spacing=spacing)
+            singles = [make(m, row, spacing=spacing) for row in rows]
+            for k in range(m + 1):
+                d = derivative_coeffs(stack, k)
+                assert d.coeffs.shape == (len(rows), n + k)
+                norms = l2_norm_sq(d)
+                assert norms.shape == (len(rows),)
+                for i, single in enumerate(singles):
+                    di = derivative_coeffs(single, k)
+                    assert bits(d.coeffs[i]) == bits(di.coeffs), (n, k, i)
+                    assert bits(norms[i]) == bits(l2_norm_sq(di)), (n, k, i)
+
+    @pytest.mark.parametrize("m", [0, 3, 12])
+    def test_single_splines_match_the_replaced_kernels(self, m):
+        rng = np.random.default_rng(m)
+        for n in range(1, 46):
+            for row in edge_rows(n, rng):
+                for k in range(m + 1):
+                    d = derivative_coeffs(make(m, row, spacing=0.5), k)
+                    assert bits(d.coeffs) == bits(diff_reference(row, k, 0.5))
+                    assert bits(l2_norm_sq(d)) == bits(
+                        norm_reference(d.coeffs, m - k, 0.5)
+                    )
+
+    def test_signed_zero_at_the_ends(self):
+        d = derivative_coeffs(make(1, [-0.0, 0.0]), 1)
+        # -0.0 - 0.0 is -0.0; 0.0 - 0.0 is +0.0 where -c would give -0.0
+        assert bits(d.coeffs) == bits([-0.0, 0.0, 0.0])
+        d = derivative_coeffs(make(1, [0.0, -0.0]), 1)
+        assert bits(d.coeffs) == bits([0.0, -0.0, 0.0])
+
+    def test_strided_input_is_made_contiguous(self):
+        rows = np.random.default_rng(3).uniform(-1.0, 1.0, size=(6, 40))
+        contiguous = l2_norm_sq(make(6, rows))
+        for strided in (np.asfortranarray(rows), np.repeat(rows, 2, axis=1)[:, ::2]):
+            s = make(6, strided)
+            assert s.coeffs.flags.c_contiguous
+            assert bits(l2_norm_sq(s)) == bits(contiguous)
+        assert bits(l2_norm_sq(make(6, strided[2]))) == bits(contiguous[2])
+
+    def test_float_for_one_spline(self):
+        assert type(l2_norm_sq(make(2, [1.0, 2.0]))) is float
+
+    def test_empty_rows(self):
+        assert l2_norm_sq(make(3, np.zeros((2, 0)))).tolist() == [0.0, 0.0]
+        assert derivative_coeffs(make(3, np.zeros((2, 0))), 2).coeffs.shape == (2, 2)
+
+    def test_quadrature_needs_one_spline(self):
+        with pytest.raises(ValueError, match="stack"):
+            l2_norm_sq_quadrature(make(2, np.ones((2, 3))))
+
+
+class TestNonFinite:
+    def test_overflow_names_first_bad_row(self):
+        rows = np.ones((3, 4))
+        rows[1] *= 1e200
+        rows[2] *= 1e200
+        # no errstate here: the kernel keeps its overflow warnings to itself
+        with pytest.raises(ValueError, match="row 1: norms overflow"):
+            l2_norm_sq(make(2, rows))
+        with pytest.raises(ValueError, match="^norms overflow"):
+            l2_norm_sq(make(2, rows[1]))
+
+    def test_overflowing_derivative_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            derivative_coeffs(make(1, [1e308, -1e308]), 1)
