@@ -101,31 +101,55 @@ def verify_inequality(s: CardinalSpline, k: int) -> InequalityReport:
     ``satisfied`` are arrays with one entry per row, each equal to the
     float the row alone gives.  Rejects the zero spline, whose ratio is
     undefined, a spline whose squared norms or ratio overflow, and one
-    whose derivative norm underflows to zero; for a stack the error names
-    the first such row.
+    whose squared norms are so small that underflow may cost more than
+    REPORT_SLACK; for a stack the error names the first such row.
     """
     norm_sq = l2_norm_sq(s)
     _reject(norm_sq <= 0.0, "norm is zero")
-    deriv_sq = l2_norm_sq(derivative_coeffs(s, k))
+    _reject(_underflows(s, norm_sq), "norm underflows into the subnormal range")
+    d = derivative_coeffs(s, k)
+    deriv_sq = l2_norm_sq(d)
     # differencing is injective, so only underflow zeroes a derivative norm
     if k >= 1:
         _reject(deriv_sq == 0.0, "derivative norm underflows to zero")
-    with np.errstate(over="ignore"):
-        ratio = np.sqrt(deriv_sq / norm_sq)
-    _reject(ratio == math.inf, "norms overflow: the ratio of the norms is not finite")
+    _reject(
+        _underflows(d, deriv_sq), "derivative norm underflows into the subnormal range"
+    )
     constant = sharp_constant(s.degree, k, s.knot_spacing)
-    margin = constant - ratio
-    satisfied = ratio <= constant * (1.0 + REPORT_SLACK)
-    if s.coeffs.ndim == 1:  # numpy scalars to Python ones
-        ratio, margin, satisfied = ratio.item(), margin.item(), satisfied.item()
+    if s.coeffs.ndim == 1:  # Python floats: an overflow is inf, not a warning
+        ratio = math.sqrt(deriv_sq / norm_sq)
+    else:
+        with np.errstate(over="ignore"):
+            ratio = np.sqrt(deriv_sq / norm_sq)
+    _reject(ratio == math.inf, "norms overflow: the ratio of the norms is not finite")
     return InequalityReport(
         degree=s.degree,
         order=k,
         ratio=ratio,
         constant=constant,
-        margin=margin,
-        satisfied=satisfied,
+        margin=constant - ratio,
+        satisfied=ratio <= constant * (1.0 + REPORT_SLACK),
     )
+
+
+def _underflows(s: CardinalSpline, norm_sq):
+    """True where underflow may cost a squared norm of s REPORT_SLACK / 2.
+
+    Below 2**-1022 a rounding error is absolute, up to half the subnormal
+    spacing 2**-1074, and no longer relative.  The Gram sum G of a row
+    with n coefficients makes at most (m + 1) * n multiply-adds (two
+    roundings each) in its dots and three roundings per band to combine
+    them, so underflow costs it at most (m + 1) * (n + 2) * 2**-1074;
+    scaling by the spacing adds half of 2**-1074 more.  When G = norm_sq /
+    spacing and norm_sq are both at least ``floor``, the relative error is
+    at most REPORT_SLACK/4 + REPORT_SLACK/8, that of the ratio of two such
+    norms is no larger, and the rest of the slack covers the rounding of
+    the normal range.  G is the smaller of the two when the spacing is
+    above 1.
+    """
+    n = s.coeffs.shape[-1]
+    floor = math.ldexp(4 * (s.degree + 1) * (n + 2) / REPORT_SLACK, -1074)
+    return norm_sq < floor * max(1.0, s.knot_spacing)
 
 
 def fejer_extremal_coeffs(n: int) -> np.ndarray:

@@ -164,8 +164,11 @@ class CardinalSpline:
             raise ValueError("coefficients must be a vector or a (batch, n) stack")
         # a view, so that freezing it leaves the caller's array writable
         c = c.reshape(c.shape if c.ndim == 2 else -1)
-        # min and max propagate NaN and read c without a temporary
-        if c.size and not (math.isfinite(c.min()) and math.isfinite(c.max())):
+        # one read and no temporary: a sum with an inf or NaN term is not
+        # finite; only then (or when finite terms overflow) check each entry
+        with np.errstate(over="ignore", invalid="ignore"):
+            total = c.sum()
+        if not math.isfinite(total):
             _reject(~np.isfinite(c).all(axis=-1), "coefficients must be finite")
         c.setflags(write=False)
         object.__setattr__(self, "coeffs", c)

@@ -9,12 +9,19 @@ coefficients with autocorrelation entries.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import numpy.typing as npt
+from numpy.lib.stride_tricks import as_strided
 
 from .bspline import CardinalSpline, _reject, _require_single, gram_autocorrelation
 
 Array = npt.NDArray[np.float64]
+
+# Coefficients per block of the band dots.  At most 10000: OpenBLAS splits a
+# longer dot across threads, and the split changes its bits.
+BLOCK = 4096
 
 __all__ = [
     "derivative_coeffs",
@@ -71,29 +78,75 @@ def l2_norm_sq(s: CardinalSpline) -> float | Array:
     ``∫ s² = Δ · Σ_{g,g'} c_g c_{g'} a_{|g-g'|}`` with the banded
     autocorrelations of the underlying B-spline.  Returns a float, or one
     value per row of a (batch, n) stack; every row goes through the same
-    floating-point operations as it would alone.  Raises ValueError when
-    a squared norm overflows.
+    floating-point operations as it would alone, and the result does not
+    depend on the number of BLAS threads.  Raises ValueError when a
+    squared norm overflows.
     """
     _require_spline(s)
-    a = gram_autocorrelation(s.degree)
+    a = gram_autocorrelation(s.degree).tolist()
     c = s.coeffs
     with np.errstate(over="ignore", invalid="ignore"):
-        total = a[0] * _row_dots(c, c)
-        for j in range(1, min(s.degree, c.shape[-1] - 1) + 1):
-            total += 2.0 * a[j] * _row_dots(c[..., :-j], c[..., j:])
+        d = _band_dots(c, max(min(s.degree, c.shape[-1] - 1), 0) + 1)
+        total = a[0] * d[0]
+        for j in range(1, len(d)):
+            total += 2.0 * a[j] * d[j]
         total *= s.knot_spacing
-    _reject(~np.isfinite(total), "norms overflow: a squared norm is not finite")
-    return total if c.ndim == 2 else float(total)
+    bad = not math.isfinite(total) if c.ndim == 1 else ~np.isfinite(total)
+    _reject(bad, "norms overflow: a squared norm is not finite")
+    return total
+
+
+def _band_dots(c: Array, b: int) -> list:
+    """The b band dots ``c[..., :n-j] · c[..., j:]`` for j = 0..b-1.
+
+    Each entry is a float for a vector and one value per row for a
+    (batch, n) stack.  Below ``BLOCK + b - 1`` coefficients every band is
+    one BLAS dot.  Longer rows are cut into blocks of ``BLOCK`` that one
+    ``matmul`` call dots with all b shifts while the block is in cache, so
+    the row is read from memory once and not b times; the block partials
+    and the dots of the tail are summed by ``math.fsum``, so the result
+    does not depend on how BLAS splits or orders a dot.
+    """
+    n = c.shape[-1]
+    nfull = (n - b + 1) // BLOCK
+    if nfull == 0:
+        return [_row_dots(c[..., : n - j], c[..., j:]) for j in range(b)]
+    head = nfull * BLOCK
+    tail = c[..., head:]
+    tails = [_row_dots(tail[..., : n - head - j], tail[..., j:]) for j in range(b)]
+    # (..., nfull, 1, 1, BLOCK) @ (..., nfull, b, BLOCK, 1): numpy's
+    # vector-vector loop, one dot per (block, shift), blocks outermost
+    lead, step = c.strides[:-1], c.strides[-1]
+    block = as_strided(
+        c,
+        c.shape[:-1] + (nfull, 1, 1, BLOCK),
+        lead + (BLOCK * step, 0, step, step),
+        writeable=False,
+    )
+    shifted = as_strided(
+        c,
+        c.shape[:-1] + (nfull, b, BLOCK, 1),
+        lead + (BLOCK * step, step, step, step),
+        writeable=False,
+    )
+    parts = np.concatenate(
+        [(block @ shifted)[..., 0, 0], np.stack(tails, -1)[..., None, :]], axis=-2
+    )
+    by_band = np.swapaxes(parts, -1, -2).reshape(-1, nfull + 1)
+    sums = [math.fsum(p.tolist()) for p in by_band]  # one band of one row each
+    return sums if c.ndim == 1 else list(np.reshape(sums, (-1, b)).T)
 
 
 def _row_dots(x: Array, y: Array):
-    """x[i] @ y[i] for every row i, or x @ y for vectors.
+    """x @ y for vectors, as a float, or x[i] @ y[i] for every row i.
 
-    ``(B, 1, n) @ (B, n, 1)`` takes numpy's vector-vector loop: one BLAS
-    dot per row, bit for bit the dot of that row alone (einsum is not).
-    A vector pair gives a numpy scalar.
+    Both are one BLAS dot per row: ``ndarray.dot`` of two vectors, and
+    ``(B, 1, n) @ (B, n, 1)``, which takes numpy's vector-vector loop, so
+    a row of a stack gets the bits of that row alone (einsum does not).
     """
-    return (x[..., None, :] @ y[..., :, None])[..., 0, 0][()]
+    if x.ndim == 1:
+        return float(x.dot(y))
+    return (x[:, None, :] @ y[:, :, None])[:, 0, 0]
 
 
 def l2_norm_sq_quadrature(s: CardinalSpline) -> float:

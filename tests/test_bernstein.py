@@ -132,6 +132,30 @@ class TestVerifyInequality:
         with pytest.raises(ValueError, match="derivative norm underflows to zero"):
             verify_inequality(s, 1)
 
+    def test_subnormal_derivative_norm_rejected(self):
+        # the squared derivative coefficients (about 1e-320) are subnormal
+        # but not zero: the ratio was off by about 1e-5 with no error
+        s = random_spline(1, 35, 1e160, seed=1)
+        with pytest.raises(ValueError, match="derivative norm underflows into the sub"):
+            verify_inequality(s, 1)
+
+    def test_tiny_coefficients_rejected(self):
+        s = CardinalSpline(degree=2, knot_spacing=1.0, coeffs=[1e-160, -2e-160, 1e-160])
+        with pytest.raises(ValueError, match="^norm underflows into the subnormal"):
+            verify_inequality(s, 1)
+
+    @pytest.mark.parametrize("spacing", [1e150, 1e156])
+    def test_just_inside_the_underflow_floor_matches_unit_spacing(self, spacing):
+        # the ratio scales as 1/spacing; near the floor the subnormal part
+        # of the Gram sum stays well inside REPORT_SLACK
+        for seed in range(5):
+            s = random_spline(1, 35, spacing, seed=seed)
+            unit = CardinalSpline(degree=1, knot_spacing=1.0, coeffs=s.coeffs)
+            got = verify_inequality(s, 1).ratio
+            assert got * spacing == pytest.approx(
+                verify_inequality(unit, 1).ratio, rel=REPORT_SLACK
+            )
+
     def test_order_zero_ratio_is_one(self):
         s = CardinalSpline(degree=3, knot_spacing=0.5, coeffs=[1.0, 2.0])
         rep = verify_inequality(s, 0)
@@ -250,6 +274,17 @@ class TestVerifyStack:
         rows[4] = 0.0
         s = CardinalSpline(degree=2, knot_spacing=1.0, coeffs=rows)
         with pytest.raises(ValueError, match="^row 2: norm is zero"):
+            verify_inequality(s, 1)
+
+    def test_subnormal_names_first_bad_row(self):
+        # at spacing 1e160 the derivative of the unit rows squares to about
+        # 1e-320, subnormal; row 0, scaled by 1e10, stays normal
+        rows = np.ones((3, 4))
+        rows[0] *= 1e10
+        s = CardinalSpline(degree=1, knot_spacing=1e160, coeffs=rows)
+        with pytest.raises(
+            ValueError, match="^row 1: derivative norm underflows into the subnormal"
+        ):
             verify_inequality(s, 1)
 
     def test_underflow_names_first_bad_row(self):

@@ -224,6 +224,18 @@ class TestCardinalSpline:
         with pytest.raises(ValueError, match="^row 2: coefficients must be finite"):
             CardinalSpline(degree=2, knot_spacing=1.0, coeffs=stack)
 
+    def test_finite_coefficients_whose_sum_overflows_accepted(self):
+        s = CardinalSpline(degree=1, knot_spacing=1.0, coeffs=[1e308, 1e308])
+        assert s.coeffs.tolist() == [1e308, 1e308]
+        stack = np.array([[1e308, 1e308], [-1e308, -1e308], [1.0, 2.0]])
+        s = CardinalSpline(degree=1, knot_spacing=1.0, coeffs=stack)
+        assert s.coeffs.shape == (3, 2)
+
+    def test_first_bad_row_named_past_an_overflowing_sum(self):
+        stack = np.array([[1e308, 1e308], [1.0, 2.0], [1.0, math.nan], [math.inf, 1.0]])
+        with pytest.raises(ValueError, match="^row 2: coefficients must be finite"):
+            CardinalSpline(degree=1, knot_spacing=1.0, coeffs=stack)
+
     def test_callers_array_stays_writable(self):
         for c in (np.array([1.0, 2.0]), np.ones((2, 3))):
             s = CardinalSpline(degree=1, knot_spacing=1.0, coeffs=c)

@@ -14,7 +14,7 @@ import pytest
 
 import splineineq
 from splineineq import cli
-from splineineq.bernstein import InequalityReport, verify_inequality
+from splineineq.bernstein import REPORT_SLACK, InequalityReport, verify_inequality
 from splineineq.bspline import CardinalSpline
 from splineineq.cli import (
     OutputRecord,
@@ -252,6 +252,9 @@ GOLDEN = [
      "4bd3ca3bc67162a3d13ccda3ecf8fda627823f253ae81a004755ed2ac019ae33"),
     ("roots --max-order 11", "json-lines",
      "894717e5be31996ab618a7af614dc14200b98d02e4563d29dd7a07c4ae4963ce"),
+    # long enough for the blocked band dots of l2_norm_sq
+    ("extremal --degree 12 --n 65535 --n 1048575", "json-lines",
+     "3ecb46afcabf8ae68cd6b20134a2a29f15a14ad93fda758d0d6ee8c3eff86801"),
     ("constants --max-degree 3", "csv",
      "0d5c5632646e55114fc766f9b959b44dbae2eb38295877c927c68646441eced9"),
     ("constants --max-degree 4 --max-order 2 --spacing 0.5 --rtol 1e-10", "csv",
@@ -268,6 +271,8 @@ GOLDEN = [
      "a2645e54e2af52d9257c36869eec0879c1e124ba1df1a10efd76ce91e88b76d5"),
     ("roots --max-order 11", "csv",
      "0293b10a63e322c71de24bc2b9e997970afd82504d168ff0eaa535d688d0bf3a"),
+    ("extremal --degree 12 --n 65535 --n 1048575", "csv",
+     "3601b444a850546e10a4e1b1f206bdb43b92505fc7f0b911968e11c055ebf229"),
 ]
 
 
@@ -343,6 +348,37 @@ class TestHugeSpacing:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(message)
+
+
+class TestSubnormalSpacing:
+    """Below the underflow floor the audit stops; just above it, it agrees."""
+
+    ARGS = ["verify", "--degree", "1", "--order", "1", "--trials", "3"]
+
+    def test_subnormal_derivative_norms_are_usage_error(self):
+        # spacing 1e160 printed trial 0 ratio 1.9241954e-160 (spacing 1,
+        # scaled: 1.9241733e-160) and exited 0
+        src = str(Path(splineineq.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-m", "splineineq", *self.ARGS, "--spacing", "1e160"],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
+            check=False,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        [line] = proc.stderr.splitlines()
+        assert line == (
+            "error: trial 0: derivative norm underflows into the subnormal range"
+        )
+
+    def test_just_inside_the_floor_matches_unit_spacing(self, capsys):
+        ratios = {}
+        for spacing in ("1", "1e156"):
+            assert main(self.ARGS + ["--spacing", spacing]) == 0
+            record = parse_record(capsys.readouterr().out, "json-lines")
+            ratios[spacing] = [r["ratio"] for r in record.rows]
+        for unit, scaled in zip(ratios["1"], ratios["1e156"]):
+            assert scaled * 1e156 == pytest.approx(unit, rel=REPORT_SLACK)
 
 
 class TestOverflowStderr:

@@ -1,11 +1,24 @@
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import splineineq
 from splineineq.bspline import CardinalSpline, gram_autocorrelation
-from splineineq.norms import derivative_coeffs, l2_norm_sq, l2_norm_sq_quadrature
+from splineineq.norms import (
+    BLOCK,
+    _band_dots,
+    derivative_coeffs,
+    l2_norm_sq,
+    l2_norm_sq_quadrature,
+)
 
 
 def make(degree, coeffs, spacing=1.0, offset=0):
@@ -246,3 +259,107 @@ class TestNonFinite:
     def test_overflowing_derivative_rejected(self):
         with pytest.raises(ValueError, match="finite"):
             derivative_coeffs(make(1, [1e308, -1e308]), 1)
+
+
+def band_dots_reference(c, b):
+    """The band dots as one full-length 1-D BLAS dot per band."""
+    n = c.size
+    return [float(c[: n - j] @ c[j:]) for j in range(b)]
+
+
+def dyadic(rng, n):
+    """Integer numerators and the coefficients they give over 2**10.
+
+    Every product (a multiple of 2**-20) and every partial sum of these is
+    exact in float64 for the lengths used here, so any summation order
+    gives the exact dot.
+    """
+    ints = rng.integers(-1024, 1025, size=n)
+    return ints, ints / 1024.0
+
+
+def band(m, n):
+    return max(min(m, n - 1), 0) + 1
+
+
+class TestBandDots:
+    """The blocked band dots against exact arithmetic and the full dots."""
+
+    def test_block_keeps_blas_dots_on_one_thread(self):
+        # OpenBLAS splits a dot longer than 10000 across threads
+        assert 0 < BLOCK <= 10000
+
+    @pytest.mark.parametrize("m", [0, 1, 6, 12])
+    def test_exact_on_dyadic_coefficients(self, m):
+        rng = np.random.default_rng(40 + m)
+        b = m + 1
+        lengths = [BLOCK - 1, BLOCK, BLOCK + b - 2, BLOCK + b - 1, BLOCK + b,
+                   2 * BLOCK + 7, 3 * BLOCK + b]
+        a = [Fraction(x) for x in gram_autocorrelation(m).tolist()]
+        for n in lengths:
+            ints, c = dyadic(rng, n)
+            exact = [Fraction(int(ints[: n - j] @ ints[j:]), 2**20) for j in range(b)]
+            assert _band_dots(c, b) == [float(e) for e in exact], n
+            # a0*D0 + sum 2*a_j*D_j rounds a few times on the way
+            gram = a[0] * exact[0] + sum(2 * a[j] * exact[j] for j in range(1, b))
+            assert l2_norm_sq(make(m, c)) == pytest.approx(float(gram), rel=1e-14)
+
+    @pytest.mark.parametrize("m", [0, 1, 6, 12])
+    def test_unblocked_lengths_match_the_full_dots(self, m):
+        # below BLOCK + b - 1 coefficients there is no full block, and every
+        # band is the one BLAS dot the kernel always made
+        rng = np.random.default_rng(m)
+        c = rng.uniform(-1.0, 1.0, size=BLOCK + m)
+        for n in range(BLOCK + m):
+            row = c[:n].copy()
+            b = band(m, n)
+            assert _band_dots(row, b) == band_dots_reference(row, b), n
+            assert bits(l2_norm_sq(make(m, row, spacing=0.5))) == bits(
+                norm_reference(row, m, 0.5)
+            ), n
+
+    @pytest.mark.parametrize("m", [0, 6, 12])
+    def test_long_stack_rows_match_each_row_alone(self, m):
+        rows = np.random.default_rng(m).uniform(-1.0, 1.0, size=(3, 2 * BLOCK + 5))
+        rows[1] *= 1e3
+        for k in (0, min(m, 1)):
+            stack = derivative_coeffs(make(m, rows, spacing=0.5), k)
+            norms = l2_norm_sq(stack)
+            dots = _band_dots(stack.coeffs, band(m - k, stack.coeffs.shape[-1]))
+            for i, row in enumerate(rows):
+                single = derivative_coeffs(make(m, row, spacing=0.5), k)
+                assert bits(norms[i]) == bits(l2_norm_sq(single))
+                assert bits([d[i] for d in dots]) == bits(
+                    _band_dots(single.coeffs, len(dots))
+                )
+
+    def test_long_input_close_to_the_full_dots(self):
+        c = np.random.default_rng(9).uniform(-1.0, 1.0, size=3 * BLOCK + 100)
+        assert_allclose(_band_dots(c, 13), band_dots_reference(c, 13), rtol=1e-13)
+
+    @pytest.mark.parametrize("m", [0, 3, 12])
+    def test_empty_and_single_coefficient(self, m):
+        a0 = gram_autocorrelation(m)[0]
+        assert l2_norm_sq(make(m, [])) == 0.0
+        assert l2_norm_sq(make(m, [3.0], spacing=0.5)) == 0.5 * (a0 * 9.0)
+        assert l2_norm_sq(make(m, np.zeros((3, 0)))).tolist() == [0.0] * 3
+        assert l2_norm_sq(make(m, [[3.0], [-2.0]])).tolist() == [a0 * 9.0, a0 * 4.0]
+        assert _band_dots(np.zeros(0), 1) == [0.0]
+
+    def test_same_bits_on_one_and_two_blas_threads(self):
+        # a full-length dot above 10000 coefficients is split across BLAS
+        # threads, and the split moved the last bits of the norm
+        code = (
+            "from splineineq.bernstein import random_spline\n"
+            "from splineineq.norms import l2_norm_sq\n"
+            "print(l2_norm_sq(random_spline(6, 1_000_001, seed=0)).hex())\n"
+        )
+        src = str(Path(splineineq.__file__).resolve().parents[1])
+        out = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads,
+                       OMP_NUM_THREADS=threads)
+            proc = subprocess.run([sys.executable, "-c", code], env=env,
+                                  capture_output=True, text=True, check=True)
+            out.append(proc.stdout)
+        assert out[0] == out[1]
