@@ -1,8 +1,29 @@
-"""Shared tail estimates for slowly converging power-law series."""
+"""Shared tail estimates for slowly converging power-law series, and the
+tolerance and term limits of every series loop in the package."""
 
 from __future__ import annotations
 
-__all__ = ["power_tail", "power_tail_bound"]
+import math
+
+__all__ = ["ROUNDING_FLOOR", "power_tail", "power_tail_bound"]
+
+# Relative rounding error charged to every computed constant; a relative
+# tolerance at or below it can never be met.
+ROUNDING_FLOOR = 4e-16
+
+
+def _check_rtol(rtol: float) -> None:
+    """Reject an rtol unless it is finite and above ROUNDING_FLOOR."""
+    # NaN fails every comparison, so it lands here too
+    if not ROUNDING_FLOOR < rtol < math.inf:
+        raise ValueError(f"rtol must be a finite number above {ROUNDING_FLOOR:g}")
+
+
+def _double_terms(terms: int, rtol: float) -> int:
+    """Twice ``terms``, for a loop that missed rtol; raises at 1 << 22 terms."""
+    if terms >= 1 << 22:
+        raise ValueError(f"series missed rtol {rtol!r} after {terms} terms")
+    return 2 * terms
 
 
 def power_tail(first: float, step: float, p: float) -> float:

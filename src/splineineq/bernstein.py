@@ -19,9 +19,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .bspline import CardinalSpline, _reject
+from .bspline import CardinalSpline, _check_spacing, _reject
 from .favard import favard
-from .norms import derivative_coeffs, l2_norm_sq
+from .norms import _check_order, derivative_coeffs, l2_norm_sq
 
 __all__ = [
     "InequalityReport",
@@ -69,12 +69,8 @@ def sharp_constant(m: int, k: int, spacing: float = 1.0) -> float:
     """
     if m < 0:
         raise ValueError("degree must be non-negative")
-    if k < 0:
-        raise ValueError("derivative order must be non-negative")
-    if k > m:
-        raise ValueError("derivative order exceeds degree")
-    if not 0.0 < spacing < math.inf:
-        raise ValueError("spacing must be a positive finite number")
+    _check_order(m, k)
+    _check_spacing(spacing)
     if k == 0:
         return 1.0
     knum = _favard_value(2 * (m - k) + 1)

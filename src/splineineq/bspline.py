@@ -4,6 +4,7 @@ autocorrelations, and pointwise evaluation of B-spline series."""
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -22,9 +23,23 @@ __all__ = [
 ]
 
 
-def _prepare(x) -> tuple[Array, bool]:
+def _prepare(x) -> tuple[Array, Callable[[Array], float | Array]]:
+    """x as a flat float64 vector, and ``restore``, which gives a result
+    computed on that vector the form of x: a float for a scalar x (a Python
+    number or a 0-d array), an array of x's shape otherwise.
+    """
     arr = np.asarray(x, dtype=np.float64)
-    return np.atleast_1d(arr).ravel(), arr.ndim == 0
+
+    def restore(out: Array) -> float | Array:
+        return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
+
+    return arr.ravel(), restore
+
+
+def _check_spacing(spacing: float) -> None:
+    """Reject a knot spacing that is not a positive finite number."""
+    if not 0.0 < spacing < math.inf:
+        raise ValueError("spacing must be a positive finite number")
 
 
 def _basis_window(m: int, u: Array) -> tuple[npt.NDArray[np.int64], Array]:
@@ -61,14 +76,14 @@ def eval_bspline(m: int, x):
     """
     if m < 0:
         raise ValueError("degree must be non-negative")
-    u, scalar = _prepare(x)
+    u, restore = _prepare(x)
     out = np.zeros_like(u)
     inside = (u >= 0.0) & (u < m + 1.0)
     if np.any(inside):
         j0, w = _basis_window(m, u[inside])
         # the shift g = 0 sits at column m - j0
         out[inside] = w[np.arange(j0.size), m - j0]
-    return float(out[0]) if scalar else out
+    return restore(out)
 
 
 def bspline_derivative(m: int, x):
@@ -79,9 +94,8 @@ def bspline_derivative(m: int, x):
     """
     if m < 1:
         raise ValueError("degree too low: derivative needs m >= 1")
-    u, scalar = _prepare(x)
-    out = eval_bspline(m - 1, u) - eval_bspline(m - 1, u - 1.0)
-    return float(out[0]) if scalar else out
+    u, restore = _prepare(x)
+    return restore(eval_bspline(m - 1, u) - eval_bspline(m - 1, u - 1.0))
 
 
 @lru_cache(maxsize=None)
@@ -156,8 +170,7 @@ class CardinalSpline:
     def __post_init__(self) -> None:
         if self.degree < 0:
             raise ValueError("degree must be non-negative")
-        if not 0.0 < self.knot_spacing < math.inf:
-            raise ValueError("knot spacing must be a positive finite number")
+        _check_spacing(self.knot_spacing)
         # C order: a strided BLAS dot need not give the contiguous one's bits
         c = np.asarray(self.coeffs, dtype=np.float64, order="C")
         if c.ndim > 2:
@@ -208,15 +221,13 @@ def _require_single(s: CardinalSpline) -> None:
 def spline_eval(s: CardinalSpline, x):
     """Evaluate the spline at x; only the ≤ m+1 overlapping shifts are used."""
     _require_single(s)
-    u, scalar = _prepare(x)
+    u, restore = _prepare(x)
     c = s.coeffs
     if c.size == 0:
-        out = np.zeros_like(u)
-        return float(out[0]) if scalar else out
+        return restore(np.zeros_like(u))
     m = s.degree
     j0, w = _basis_window(m, u / s.knot_spacing)
     idx = j0[:, None] - m + np.arange(m + 1) - s.offset
     valid = (idx >= 0) & (idx < c.size)
     gathered = np.where(valid, c[np.clip(idx, 0, c.size - 1)], 0.0)
-    out = np.einsum("ij,ij->i", w, gathered)
-    return float(out[0]) if scalar else out
+    return restore(np.einsum("ij,ij->i", w, gathered))

@@ -23,9 +23,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bernstein import extremal_ratio, sharp_constant, verify_inequality
-from .bspline import CardinalSpline
+from .bspline import CardinalSpline, _check_spacing
 from .euler_frobenius import ef_roots, representative_roots, symbol_via_ef
-from .favard import ROUNDING_FLOOR, favard
+from .favard import favard
 from .symbol import ratio_L, symbol_fourier, symbol_lattice
 
 SCHEMA_VERSION = "1"
@@ -178,21 +178,11 @@ def parse_record(text: str, fmt: str) -> OutputRecord:
 # -- subcommands -----------------------------------------------------------
 
 
-def _check_rtol(rtol: float) -> None:
-    # NaN fails every comparison, so it lands here too
-    if not ROUNDING_FLOOR < rtol < math.inf:
-        raise UsageError(f"rtol must be a finite number above {ROUNDING_FLOOR:g}")
-
-
-def _check_spacing(spacing: float) -> None:
-    if not 0.0 < spacing < math.inf:
-        raise UsageError("spacing must be a positive finite number")
-
-
-def _sharp_constant(m: int, k: int, spacing: float) -> float:
+def _usage(fn, *args):
+    """``fn(*args)``, with a ValueError of the library as a UsageError."""
     try:
-        return sharp_constant(m, k, spacing)
-    except ValueError as exc:  # the constant overflows at a tiny spacing
+        return fn(*args)
+    except ValueError as exc:
         raise UsageError(str(exc)) from None
 
 
@@ -202,10 +192,9 @@ def cmd_constants(
     """Sharp constants and their Favard ingredients for all k ≤ min(m, k_max)."""
     if m_max < 0 or k_max < 0:
         raise UsageError("degree and order bounds must be non-negative")
-    _check_spacing(spacing)
+    _usage(_check_spacing, spacing)
     if 1.0 / spacing == math.inf:
         raise UsageError(f"h = 1/spacing overflows at spacing {spacing!r}")
-    _check_rtol(rtol)
     rows = []
     for m in range(m_max + 1):
         for k in range(min(m, k_max) + 1):
@@ -217,11 +206,11 @@ def cmd_constants(
                     "k": k,
                     "delta": spacing,
                     "h": 1.0 / spacing,
-                    "constant": _sharp_constant(m, k, spacing),
+                    "constant": _usage(sharp_constant, m, k, spacing),
                     "K_num_index": num_idx,
-                    "K_num": favard(num_idx, rtol).value,
+                    "K_num": _usage(favard, num_idx, rtol).value,
                     "K_den_index": den_idx,
-                    "K_den": favard(den_idx, rtol).value,
+                    "K_den": _usage(favard, den_idx, rtol).value,
                 }
             )
     params = {"max_degree": m_max, "max_order": k_max, "spacing": spacing, "rtol": rtol}
@@ -235,15 +224,12 @@ def cmd_symbol(m: int, points: int, rtol: float = 1e-12) -> OutputRecord:
     zero); the symbol columns are still emitted and the caller reports a
     usage error afterwards.
     """
-    if m < 0:
-        raise UsageError("degree must be non-negative")
     if points < 2:
         raise UsageError("need at least two sweep points")
-    _check_rtol(rtol)
     grid = np.linspace(0.0, 2.0 * math.pi, points)
+    lat = _usage(symbol_lattice, m, grid, rtol)
     four = symbol_fourier(m, grid)
     efp = symbol_via_ef(m, grid)
-    lat = symbol_lattice(m, grid, rtol)
     columns = {
         "omega": grid,
         "fourier": four,
@@ -292,16 +278,11 @@ def cmd_verify(
     trials of equal coefficient count are checked as one (batch, n) stack,
     which gives every trial the floats it would get alone.
     """
-    if m < 0:
-        raise UsageError("degree must be non-negative")
-    if not (0 <= k <= m):
-        raise UsageError("order must satisfy 0 <= k <= degree")
-    _check_spacing(spacing)
+    constant = _usage(sharp_constant, m, k, spacing)
     if trials < 1:
         raise UsageError("need at least one trial")
     master = np.random.default_rng(seed)
     counts = master.integers(1, 41, size=trials)
-    constant = _sharp_constant(m, k, spacing)
     ratio = np.empty(trials)
     margin = np.empty(trials)
     satisfied = np.empty(trials, dtype=bool)

@@ -13,7 +13,7 @@ from functools import lru_cache
 import numpy as np
 import numpy.typing as npt
 
-from .bspline import _scaled_integer_samples
+from .bspline import _prepare, _scaled_integer_samples
 
 Array = npt.NDArray[np.float64]
 
@@ -169,14 +169,10 @@ def symbol_via_ef(m: int, omega):
     """
     if m < 0:
         raise ValueError("degree must be non-negative")
-    w = np.atleast_1d(np.asarray(omega, dtype=np.float64))
-    scalar = np.asarray(omega).ndim == 0
-    if m == 0:
-        out = np.ones_like(w)
-        return float(out[0]) if scalar else out
-    reps, norm = _symbol_factors(m)
+    w, restore = _prepare(omega)
+    reps, norm = _symbol_factors(m)  # no factors and norm 1.0 at m = 0
     out = np.full_like(w, norm)
     c = np.cos(w)
     for lam in reps:
         out *= (1.0 - 2.0 * lam * c + lam * lam) / (-lam)
-    return float(out[0]) if scalar else out
+    return restore(out)

@@ -8,15 +8,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from ._series import ROUNDING_FLOOR, _check_rtol, _double_terms
 from ._series import power_tail, power_tail_bound
 
 __all__ = ["ROUNDING_FLOOR", "FavardConstant", "favard"]
 
 _PI = math.pi
-
-# Relative rounding error charged to every computed constant; a relative
-# tolerance at or below it can never be met.
-ROUNDING_FLOOR = 4e-16
 
 
 @dataclass(frozen=True)
@@ -41,11 +38,12 @@ def favard(m: int, rtol: float = 1e-12) -> FavardConstant:
     Even m: the series alternates, so partial sums bracket the limit and
     the first omitted term bounds the truncation error.  m = 0 is the
     constant 1 exactly (the alternating series telescopes to pi/4).
+    Raises ValueError unless rtol is finite and above ROUNDING_FLOOR, and
+    when 1 << 22 terms do not meet it.
     """
     if m < 0:
         raise ValueError("index must be non-negative")
-    if not rtol > ROUNDING_FLOOR:
-        raise ValueError(f"rtol must be a number above {ROUNDING_FLOOR:g}")
+    _check_rtol(rtol)
     if m == 0:
         return FavardConstant(index=0, value=1.0, series_terms=0, tail_bound=0.0)
 
@@ -60,11 +58,11 @@ def favard(m: int, rtol: float = 1e-12) -> FavardConstant:
             bound = power_tail_bound(2.0 * terms + 1.0, 2.0, p)
             value = pref * (partial + tail)
             err = pref * bound + ROUNDING_FLOOR * value
-            if err <= rtol * value or terms >= 1 << 22:
+            if err <= rtol * value:
                 return FavardConstant(
                     index=m, value=value, series_terms=terms, tail_bound=err
                 )
-            terms *= 2
+            terms = _double_terms(terms, rtol)
     # alternating series: sum (-1)^l (2l+1)^(-p)
     terms = 8
     while True:
@@ -74,8 +72,8 @@ def favard(m: int, rtol: float = 1e-12) -> FavardConstant:
         omitted = (2.0 * terms + 1.0) ** -p
         value = pref * partial
         err = pref * omitted + ROUNDING_FLOOR * abs(value)
-        if err <= rtol * abs(value) or terms >= 1 << 22:
+        if err <= rtol * abs(value):
             return FavardConstant(
                 index=m, value=value, series_terms=terms, tail_bound=err
             )
-        terms *= 2
+        terms = _double_terms(terms, rtol)

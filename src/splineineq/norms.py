@@ -35,6 +35,14 @@ def _require_spline(s) -> None:
         raise TypeError("expected a CardinalSpline")
 
 
+def _check_order(m: int, k: int) -> None:
+    """Reject a derivative order k outside 0 <= k <= m."""
+    if k < 0:
+        raise ValueError("derivative order must be non-negative")
+    if k > m:
+        raise ValueError("derivative order exceeds degree")
+
+
 def derivative_coeffs(s: CardinalSpline, k: int) -> CardinalSpline:
     """The k-th derivative of s, a CardinalSpline of degree s.degree - k.
 
@@ -46,11 +54,8 @@ def derivative_coeffs(s: CardinalSpline, k: int) -> CardinalSpline:
     differentiating i + j times.  A (batch, n) stack is differenced row
     by row.
     """
-    if k < 0:
-        raise ValueError("derivative order must be non-negative")
     _require_spline(s)
-    if k > s.degree:
-        raise ValueError("derivative order exceeds degree")
+    _check_order(s.degree, k)
     c = s.coeffs
     h = s.knot_spacing
     # a difference of huge coefficients, or one divided by a tiny spacing,
@@ -65,7 +70,8 @@ def derivative_coeffs(s: CardinalSpline, k: int) -> CardinalSpline:
                 d[..., 0] = c[..., 0]
                 np.subtract(c[..., 1:], c[..., :-1], out=d[..., 1:-1])
                 np.subtract(0.0, c[..., -1], out=d[..., -1])
-            d /= h
+            if h != 1.0:  # dividing by 1.0 changes no bit, not even of -0.0
+                d /= h
             c = d
     return CardinalSpline(
         degree=s.degree - k, knot_spacing=h, coeffs=c, offset=s.offset
@@ -167,5 +173,4 @@ def l2_norm_sq_quadrature(s: CardinalSpline) -> float:
     edges = lo + h * np.arange(cells)
     # map reference nodes into every cell at once
     x = edges[:, None] + 0.5 * h * (nodes[None, :] + 1.0)
-    vals = s(x.ravel()) ** 2
-    return float(0.5 * h * np.sum(vals.reshape(cells, -1) @ weights))
+    return float(0.5 * h * np.sum(s(x) ** 2 @ weights))

@@ -10,8 +10,8 @@ from dataclasses import dataclass
 import numpy as np
 import numpy.typing as npt
 
-from ._series import power_tail, power_tail_bound
-from .bspline import gram_autocorrelation
+from ._series import _check_rtol, _double_terms, power_tail, power_tail_bound
+from .bspline import _prepare, gram_autocorrelation
 
 Array = npt.NDArray[np.float64]
 
@@ -49,13 +49,12 @@ def symbol_fourier(m: int, omega):
     """
     if m < 0:
         raise ValueError("degree must be non-negative")
-    w = np.atleast_1d(np.asarray(omega, dtype=np.float64))
-    scalar = np.asarray(omega).ndim == 0
+    w, restore = _prepare(omega)
     a = gram_autocorrelation(m)
     out = np.full_like(w, a[0])
     for j in range(1, m + 1):
         out += 2.0 * a[j] * np.cos(j * w)
-    return float(out[0]) if scalar else out
+    return restore(out)
 
 
 def _lattice_terms(r, s, p: float, terms: int) -> Array:
@@ -98,17 +97,18 @@ def symbol_lattice(m: int, omega, rtol: float = 1e-12) -> SymbolEval:
     Accepts a scalar or an array of frequencies.  The first 17 terms of
     every frequency are formed in one array operation; only frequencies
     that miss rtol with them go on to the doubling, one at a time.  A
-    frequency gets the same result alone as inside an array.
+    frequency gets the same result alone as inside an array.  Raises
+    ValueError unless rtol is finite and above ROUNDING_FLOOR, and when
+    1 << 22 terms do not meet it.
     """
     if m < 0:
         raise ValueError("degree must be non-negative")
-    if not rtol > 0.0:
-        raise ValueError("rtol must be positive")
-    w = np.asarray(omega, dtype=np.float64)
+    _check_rtol(rtol)
+    w, restore = _prepare(omega)
     p = 2.0 * m + 2.0
     # Reduce to the principal period first: IEEE remainder is exact, and
     # it keeps every lattice denominator safely away from zero.
-    r = np.array([math.remainder(x, _TWO_PI) for x in w.ravel().tolist()])
+    r = np.array([math.remainder(x, _TWO_PI) for x in w.tolist()])
     # At a lattice frequency every term but one vanishes and the surviving
     # limit is exactly 1.
     value = np.ones_like(r)
@@ -123,25 +123,17 @@ def symbol_lattice(m: int, omega, rtol: float = 1e-12) -> SymbolEval:
     for i, ri, si, vals in zip(live.tolist(), r_live, s_live, block):
         terms = first
         v, b = _lattice_total(ri, si, p, terms, vals)
-        while not (b <= rtol * v or terms >= 1 << 22):
-            terms *= 2
+        while not b <= rtol * v:
+            terms = _double_terms(terms, rtol)
             v, b = _lattice_total(ri, si, p, terms, _lattice_terms(ri, si, p, terms))
         value[i] = v
         bound[i] = b
-    if w.ndim == 0:
-        return SymbolEval(
-            degree=m,
-            omega=float(w),
-            value=float(value[0]),
-            method="lattice",
-            tail_bound=float(bound[0]),
-        )
     return SymbolEval(
         degree=m,
-        omega=w,
-        value=value.reshape(w.shape),
+        omega=restore(w),
+        value=restore(value),
         method="lattice",
-        tail_bound=bound.reshape(w.shape),
+        tail_bound=restore(bound),
     )
 
 
@@ -154,10 +146,8 @@ def ratio_L(m: int, omega):
     """
     if m < 1:
         raise ValueError("degree must be at least 1")
-    w = np.atleast_1d(np.asarray(omega, dtype=np.float64))
-    scalar = np.asarray(omega).ndim == 0
+    w, restore = _prepare(omega)
     num = symbol_fourier(m - 1, w)
     den = symbol_fourier(m, w)
-    out = 4.0 * np.sin(0.5 * w) ** 2 * num / den
-    return float(out[0]) if scalar else out
+    return restore(4.0 * np.sin(0.5 * w) ** 2 * num / den)
 

@@ -14,7 +14,12 @@ import pytest
 
 import splineineq
 from splineineq import cli
-from splineineq.bernstein import REPORT_SLACK, InequalityReport, verify_inequality
+from splineineq.bernstein import (
+    REPORT_SLACK,
+    InequalityReport,
+    sharp_constant,
+    verify_inequality,
+)
 from splineineq.bspline import CardinalSpline
 from splineineq.cli import (
     OutputRecord,
@@ -408,7 +413,7 @@ class TestOverflowStderr:
 def verify_reference(m, k, spacing, trials, seed):
     """The per-trial audit loop that batching replaced, kept as an oracle."""
     counts = np.random.default_rng(seed).integers(1, 41, size=trials)
-    constant = cli._sharp_constant(m, k, spacing)
+    constant = sharp_constant(m, k, spacing)
     rows = []
     worst_ratio, min_margin, all_ok = 0.0, math.inf, True
     for i in range(trials):

@@ -1,0 +1,202 @@
+"""One contract per input: argument shape, spacing, derivative order, rtol.
+
+Every entry point that takes the same kind of input must treat it the same
+way and, when it refuses it, say so in the same words.
+"""
+
+from __future__ import annotations
+
+import importlib
+import math
+
+import numpy as np
+import pytest
+
+from splineineq import (
+    CardinalSpline,
+    bspline_derivative,
+    derivative_coeffs,
+    eval_bspline,
+    favard,
+    random_spline,
+    ratio_L,
+    sharp_constant,
+    spline_eval,
+    symbol_fourier,
+    symbol_lattice,
+    symbol_via_ef,
+    verify_inequality,
+)
+from splineineq.cli import UsageError, cmd_constants, cmd_symbol, cmd_verify
+from splineineq.favard import ROUNDING_FLOOR
+
+_series = importlib.import_module("splineineq._series")
+# the attribute splineineq.favard is the function of that name
+favard_module = importlib.import_module("splineineq.favard")
+symbol_module = importlib.import_module("splineineq.symbol")
+
+SPLINE = CardinalSpline(degree=3, knot_spacing=0.5, coeffs=[1.0, -2.0, 0.5, 3.0])
+
+ELEMENTWISE = {
+    "eval_bspline": lambda x: eval_bspline(3, x),
+    "bspline_derivative": lambda x: bspline_derivative(3, x),
+    "spline_eval": lambda x: spline_eval(SPLINE, x),
+    "symbol_fourier": lambda x: symbol_fourier(3, x),
+    "ratio_L": lambda x: ratio_L(3, x),
+    "symbol_via_ef": lambda x: symbol_via_ef(3, x),
+    "symbol_lattice": lambda x: symbol_lattice(3, x).value,
+    "symbol_lattice.tail_bound": lambda x: symbol_lattice(3, x).tail_bound,
+    "symbol_lattice.omega": lambda x: symbol_lattice(3, x).omega,
+}
+
+GRID = [[0.0, 0.3, 1.25, -0.0], [2.5, math.pi, 3.9, 7.0]]
+
+ARGUMENTS = {
+    "python float": (1.25, ()),
+    "python int": (2, ()),
+    "0-d array": (np.array(1.25), ()),
+    "numpy scalar": (np.float64(math.pi), ()),
+    "list": ([0.3, 1.25, 3.9], (3,)),
+    "1-D array": (np.array(GRID[1]), (4,)),
+    "2-D array": (np.array(GRID), (2, 4)),
+    "2-D list": (GRID, (2, 4)),
+    "empty": (np.zeros((0, 3)), (0, 3)),
+}
+
+
+def bits(x) -> bytes:
+    return np.asarray(x, dtype=np.float64).tobytes()
+
+
+class TestShapeContract:
+    @pytest.mark.parametrize("arg", ARGUMENTS)
+    @pytest.mark.parametrize("name", ELEMENTWISE)
+    def test_shape_and_elements(self, name, arg):
+        fn = ELEMENTWISE[name]
+        x, shape = ARGUMENTS[arg]
+        got = fn(x)
+        if shape == ():
+            assert type(got) is float
+        else:
+            assert isinstance(got, np.ndarray)
+            assert got.shape == shape
+        flat = np.asarray(x, dtype=np.float64).ravel().tolist()
+        assert bits(got) == bits([fn(v) for v in flat])
+
+
+SPACING = "spacing must be a positive finite number"
+BAD_SPACINGS = [0.0, -1.0, -0.0, math.inf, -math.inf, math.nan]
+
+
+class TestSpacingRule:
+    @pytest.mark.parametrize("spacing", BAD_SPACINGS)
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda h: CardinalSpline(degree=2, knot_spacing=h, coeffs=[1.0]),
+            lambda h: random_spline(2, 5, spacing=h, seed=0),
+            lambda h: sharp_constant(2, 1, h),
+            lambda h: cmd_constants(2, 2, h),
+            lambda h: cmd_verify(2, 1, h, 3, 0),
+        ],
+    )
+    def test_one_message_from_every_caller(self, call, spacing):
+        with pytest.raises((ValueError, UsageError)) as info:
+            call(spacing)
+        assert str(info.value) == SPACING
+
+
+ORDER_NEGATIVE = "derivative order must be non-negative"
+ORDER_ABOVE = "derivative order exceeds degree"
+
+
+class TestOrderRule:
+    @pytest.mark.parametrize(
+        "k,message", [(-1, ORDER_NEGATIVE), (-5, ORDER_NEGATIVE), (4, ORDER_ABOVE)]
+    )
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda k: derivative_coeffs(SPLINE, k),
+            lambda k: verify_inequality(SPLINE, k),
+            lambda k: sharp_constant(3, k),
+            lambda k: cmd_verify(3, k, 1.0, 3, 0),
+        ],
+    )
+    def test_one_message_from_every_caller(self, call, k, message):
+        with pytest.raises((ValueError, UsageError)) as info:
+            call(k)
+        assert str(info.value) == message
+
+
+RTOL = f"rtol must be a finite number above {ROUNDING_FLOOR:g}"
+BAD_RTOLS = [0.0, -1e-9, 1e-300, 1e-20, ROUNDING_FLOOR, math.nan, math.inf, -math.inf]
+
+
+class TestRtolRule:
+    @pytest.mark.parametrize("rtol", BAD_RTOLS)
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda r: favard(3, r),
+            lambda r: favard(2, r),
+            lambda r: symbol_lattice(2, 1.0, r),
+            lambda r: symbol_lattice(2, np.linspace(0.0, 6.0, 5), r),
+            lambda r: cmd_constants(2, 2, 1.0, r),
+            lambda r: cmd_symbol(2, 5, r),
+        ],
+    )
+    def test_one_message_from_every_caller(self, call, rtol):
+        with pytest.raises((ValueError, UsageError)) as info:
+            call(rtol)
+        assert str(info.value) == RTOL
+
+    def test_floor_has_one_owner(self):
+        assert ROUNDING_FLOOR is _series.ROUNDING_FLOOR
+
+    @pytest.mark.parametrize("rtol", [1e-300, math.inf, math.nan, ROUNDING_FLOOR])
+    def test_lattice_rejects_before_summing(self, monkeypatch, rtol):
+        # 1e-300 used to spin for seconds and return a bound ~1e222 too loose
+        def no_terms(*args):
+            raise AssertionError("summed lattice terms for an unusable rtol")
+
+        monkeypatch.setattr(symbol_module, "_lattice_terms", no_terms)
+        with pytest.raises(ValueError, match="^rtol must be"):
+            symbol_lattice(2, 1.0, rtol)
+
+
+class TestSeriesCap:
+    def test_cap_raises(self):
+        assert _series._double_terms(1 << 21, 1e-12) == 1 << 22
+        with pytest.raises(ValueError, match="^series missed rtol 1e-12 after 4194304"):
+            _series._double_terms(1 << 22, 1e-12)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: favard(1, 1e-15),  # positive series
+            lambda: favard(2, 1e-15),  # alternating series
+            lambda: symbol_lattice(0, 3.0, 1e-15),
+        ],
+    )
+    def test_every_loop_stops_at_the_cap(self, monkeypatch, call):
+        # each call misses rtol with its first terms; at the real cap,
+        # favard(2, 4.0000001e-16) raises after 4M terms (about 3 s)
+        def at_cap(terms, rtol):
+            return _series._double_terms(1 << 22, rtol)
+
+        monkeypatch.setattr(favard_module, "_double_terms", at_cap)
+        monkeypatch.setattr(symbol_module, "_double_terms", at_cap)
+        with pytest.raises(ValueError, match="^series missed rtol"):
+            call()
+
+    def test_cli_series_stay_below_the_cap(self):
+        # constants reads odd indices only, and symbol sweeps these degrees,
+        # at any rtol the rule accepts
+        rtol = 4.0000001e-16
+        for index in range(1, 82, 2):
+            assert favard(index, rtol).series_terms <= 1024, index
+        grid = np.linspace(0.0, 2.0 * math.pi, 257)
+        for m in (0, 1, 2, 12, 30):
+            lat = symbol_lattice(m, grid, rtol)
+            assert np.all(lat.tail_bound <= rtol * lat.value), m

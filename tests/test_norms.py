@@ -217,6 +217,18 @@ class TestStackedKernels:
                         norm_reference(d.coeffs, m - k, 0.5)
                     )
 
+    @pytest.mark.parametrize("n", [1, 2, 45, BLOCK - 1, BLOCK, BLOCK + 1, BLOCK + 13])
+    def test_unit_spacing_matches_the_divided_differences(self, n):
+        # at spacing 1.0 the kernel skips its division by the spacing
+        rows = edge_rows(n, np.random.default_rng(n))
+        rows[4] *= 2.0**-1060  # subnormal
+        rows[0, ::3] = 5e-324
+        rows[2, 1::2] = -0.0
+        for k in (1, 2, 12):
+            d = derivative_coeffs(make(12, rows), k).coeffs
+            for i, row in enumerate(rows):
+                assert bits(d[i]) == bits(diff_reference(row, k, 1.0)), (k, i)
+
     def test_signed_zero_at_the_ends(self):
         d = derivative_coeffs(make(1, [-0.0, 0.0]), 1)
         # -0.0 - 0.0 is -0.0; 0.0 - 0.0 is +0.0 where -c would give -0.0
