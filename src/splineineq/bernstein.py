@@ -19,7 +19,13 @@ from functools import lru_cache
 
 import numpy as np
 
-from .bspline import CardinalSpline, _check_spacing, _reject
+from .bspline import (
+    CardinalSpline,
+    _check_degree,
+    _check_spacing,
+    _in_slices,
+    _reject,
+)
 from .favard import favard
 from .norms import _check_order, derivative_coeffs, l2_norm_sq
 
@@ -67,8 +73,7 @@ def sharp_constant(m: int, k: int, spacing: float = 1.0) -> float:
     exists, for a spacing that is not a positive finite number, and when
     the constant overflows a float.
     """
-    if m < 0:
-        raise ValueError("degree must be non-negative")
+    _check_degree(m)
     _check_order(m, k)
     _check_spacing(spacing)
     if k == 0:
@@ -157,8 +162,12 @@ def fejer_extremal_coeffs(n: int) -> np.ndarray:
     """
     if n < 0:
         raise ValueError("length parameter must be non-negative")
-    c = np.ones(n + 1)
-    c[1::2] = -1.0
+    c = np.empty(n + 1)
+    # each (+1, -1) pair is one complex number, so every entry is written once
+    pairs = c[: (n + 1) // 2 * 2].view(np.complex128)
+    _in_slices(np.ndarray.fill, pairs, 1.0 - 1.0j, width=2)
+    if n % 2 == 0:
+        c[-1] = 1.0
     return c
 
 

@@ -3,7 +3,10 @@ autocorrelations, and pointwise evaluation of B-spline series."""
 
 from __future__ import annotations
 
+import contextvars
 import math
+import os
+import threading
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache
@@ -34,6 +37,90 @@ def _prepare(x) -> tuple[Array, Callable[[Array], float | Array]]:
         return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
     return arr.ravel(), restore
+
+
+# Coefficients per slice below which a kernel runs on the calling thread
+# alone: a row is split only when every slice gets at least this many.  On
+# a 2-vCPU VM, where starting and joining a thread takes about 100 us, two
+# slices began to pay off between 2^18 and 2^19 coefficients per row.
+PARALLEL_MIN = 1 << 18
+
+
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _in_slices(
+    fn: Callable[..., object], *args, axis: int = -1, width: int = 1
+) -> list:
+    """``[fn(*pieces), ...]``, the array args cut into contiguous slices.
+
+    The first argument is an array, and every array argument is cut at the
+    same indices along axis; any other argument goes to each slice as it
+    is.  Each index along axis stands for ``width`` coefficients.  There is
+    one slice per usable CPU, but no more than leave every slice
+    ``PARALLEL_MIN`` coefficients; with one slice this is ``[fn(*args)]`` on
+    the calling thread.  The cuts change no bit of a result as long as fn
+    computes each element, or each partial, the same way whatever the
+    bounds of its slice.
+    """
+    n = args[0].shape[axis]
+    if n * width >= 2 * PARALLEL_MIN:
+        k = min(_usable_cpus(), n * width // PARALLEL_MIN)
+        if k > 1:
+            return _run_slices(fn, args, axis, [n * i // k for i in range(k + 1)])
+    return [fn(*args)]
+
+
+def _run_slices(
+    fn: Callable[..., object], args: tuple, axis: int, bounds: list[int]
+) -> list:
+    """fn on the pieces ``bounds[i]:bounds[i + 1]`` of the array args.
+
+    The caller runs piece 0 and a thread of its own each other piece, in a
+    copy of the caller's context, so that its ``np.errstate`` holds there
+    as well.  Every thread is joined before this returns, and the
+    exception of the lowest failing piece is raised in the caller.  Kept
+    apart from _in_slices, whose short path then sets up no closure.
+    """
+    k = len(bounds) - 1
+    after = (slice(None),) * (-1 - axis)
+    results: list = [None] * k
+    errors: list = [None] * k
+
+    def run(i: int) -> None:
+        index = (Ellipsis, slice(bounds[i], bounds[i + 1])) + after
+        try:
+            pieces = (a[index] if isinstance(a, np.ndarray) else a for a in args)
+            results[i] = fn(*pieces)
+        except BaseException as exc:  # re-raised in the caller
+            errors[i] = exc
+
+    threads = [
+        threading.Thread(target=contextvars.copy_context().run, args=(run, i))
+        for i in range(1, k)
+    ]
+    for t in threads:
+        t.start()
+    run(0)
+    for t in threads:
+        t.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
+    return results
+
+
+def _check_degree(m: int, least: int = 0) -> None:
+    """Reject a degree below ``least``: 0, or 1 where a derivative is taken."""
+    if m < least:
+        if least == 0:
+            raise ValueError("degree must be non-negative")
+        raise ValueError(f"degree must be at least {least}")
 
 
 def _check_spacing(spacing: float) -> None:
@@ -74,8 +161,7 @@ def eval_bspline(m: int, x):
     truncated-power sum cancels catastrophically.  Piecewise-constant
     pieces (m = 0) are taken right-continuous.
     """
-    if m < 0:
-        raise ValueError("degree must be non-negative")
+    _check_degree(m)
     u, restore = _prepare(x)
     out = np.zeros_like(u)
     inside = (u >= 0.0) & (u < m + 1.0)
@@ -92,8 +178,7 @@ def bspline_derivative(m: int, x):
     For m = 1 the derivative jumps at knots; the right-hand limit is
     returned there.  Rejects m = 0 (the derivative is not a function).
     """
-    if m < 1:
-        raise ValueError("degree too low: derivative needs m >= 1")
+    _check_degree(m, 1)
     u, restore = _prepare(x)
     return restore(eval_bspline(m - 1, u) - eval_bspline(m - 1, u - 1.0))
 
@@ -119,8 +204,7 @@ def integer_samples(m: int) -> Array:
 
     Computed exactly as integers over m!, then rounded once to float.
     """
-    if m < 0:
-        raise ValueError("degree must be non-negative")
+    _check_degree(m)
     f = math.factorial(m)
     return np.array([t / f for t in _scaled_integer_samples(m)], dtype=np.float64)
 
@@ -142,8 +226,7 @@ def gram_autocorrelation(m: int) -> Array:
     periodized squared symbol and the entries of the banded Gram matrix
     used for exact L2 norms.
     """
-    if m < 0:
-        raise ValueError("degree must be non-negative")
+    _check_degree(m)
     return np.array(_autocorr(m), dtype=np.float64)
 
 
@@ -168,8 +251,7 @@ class CardinalSpline:
     offset: int = 0
 
     def __post_init__(self) -> None:
-        if self.degree < 0:
-            raise ValueError("degree must be non-negative")
+        _check_degree(self.degree)
         _check_spacing(self.knot_spacing)
         # C order: a strided BLAS dot need not give the contiguous one's bits
         c = np.asarray(self.coeffs, dtype=np.float64, order="C")
@@ -177,10 +259,11 @@ class CardinalSpline:
             raise ValueError("coefficients must be a vector or a (batch, n) stack")
         # a view, so that freezing it leaves the caller's array writable
         c = c.reshape(c.shape if c.ndim == 2 else -1)
-        # one read and no temporary: a sum with an inf or NaN term is not
-        # finite; only then (or when finite terms overflow) check each entry
+        # one read and no temporary (but a copy of each slice of a long
+        # stack): a sum of squares with an inf or NaN term is not finite;
+        # only then (or when finite squares overflow) check each entry
         with np.errstate(over="ignore", invalid="ignore"):
-            total = c.sum()
+            total = sum(_in_slices(np.vdot, c, c))
         if not math.isfinite(total):
             _reject(~np.isfinite(c).all(axis=-1), "coefficients must be finite")
         c.setflags(write=False)

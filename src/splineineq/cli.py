@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bernstein import extremal_ratio, sharp_constant, verify_inequality
-from .bspline import CardinalSpline, _check_spacing
+from .bspline import CardinalSpline, _check_degree, _check_spacing
 from .euler_frobenius import ef_roots, representative_roots, symbol_via_ef
 from .favard import favard
 from .symbol import ratio_L, symbol_fourier, symbol_lattice
@@ -347,8 +347,7 @@ def cmd_verify(
 
 def cmd_extremal(m: int, n_list: list[int]) -> OutputRecord:
     """Convergence of the alternating-coefficient ratio toward the constant."""
-    if m < 1:
-        raise UsageError("degree must be at least 1")
+    _usage(_check_degree, m, 1)
     if not n_list:
         raise UsageError("need at least one sequence length")
     if any(n < 0 for n in n_list):

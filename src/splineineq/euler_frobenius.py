@@ -13,7 +13,7 @@ from functools import lru_cache
 import numpy as np
 import numpy.typing as npt
 
-from .bspline import _prepare, _scaled_integer_samples
+from .bspline import _check_degree, _prepare, _scaled_integer_samples
 
 Array = npt.NDArray[np.float64]
 
@@ -167,8 +167,7 @@ def symbol_via_ef(m: int, omega):
     constant.  Independent of the Fourier-coefficient route, so the two
     serve as cross-checks.
     """
-    if m < 0:
-        raise ValueError("degree must be non-negative")
+    _check_degree(m)
     w, restore = _prepare(omega)
     reps, norm = _symbol_factors(m)  # no factors and norm 1.0 at m = 0
     out = np.full_like(w, norm)

@@ -15,7 +15,13 @@ import numpy as np
 import numpy.typing as npt
 from numpy.lib.stride_tricks import as_strided
 
-from .bspline import CardinalSpline, _reject, _require_single, gram_autocorrelation
+from .bspline import (
+    CardinalSpline,
+    _in_slices,
+    _reject,
+    _require_single,
+    gram_autocorrelation,
+)
 
 Array = npt.NDArray[np.float64]
 
@@ -68,10 +74,11 @@ def derivative_coeffs(s: CardinalSpline, k: int) -> CardinalSpline:
                 # the zero padding written out: c[0] - 0.0 is c[0] to the
                 # bit, and 0.0 - c[-1] (unlike -c[-1]) maps -0.0 to +0.0
                 d[..., 0] = c[..., 0]
-                np.subtract(c[..., 1:], c[..., :-1], out=d[..., 1:-1])
+                # elementwise, so a long row is cut across the CPUs
+                _in_slices(np.subtract, c[..., 1:], c[..., :-1], d[..., 1:-1])
                 np.subtract(0.0, c[..., -1], out=d[..., -1])
             if h != 1.0:  # dividing by 1.0 changes no bit, not even of -0.0
-                d /= h
+                _in_slices(np.divide, d, h, d)
             c = d
     return CardinalSpline(
         degree=s.degree - k, knot_spacing=h, coeffs=c, offset=s.offset
@@ -116,10 +123,8 @@ def _band_dots(c: Array, b: int) -> list:
     n = c.shape[-1]
     nfull = (n - b + 1) // BLOCK
     if nfull == 0:
-        return [_row_dots(c[..., : n - j], c[..., j:]) for j in range(b)]
-    head = nfull * BLOCK
-    tail = c[..., head:]
-    tails = [_row_dots(tail[..., : n - head - j], tail[..., j:]) for j in range(b)]
+        return _row_dots(c, b)
+    tails = _row_dots(c[..., nfull * BLOCK :], b)
     # (..., nfull, 1, 1, BLOCK) @ (..., nfull, b, BLOCK, 1): numpy's
     # vector-vector loop, one dot per (block, shift), blocks outermost
     lead, step = c.strides[:-1], c.strides[-1]
@@ -135,24 +140,28 @@ def _band_dots(c: Array, b: int) -> list:
         lead + (BLOCK * step, step, step, step),
         writeable=False,
     )
+    # the blocks are cut into slices across the CPUs; each partial is the
+    # same BLAS dot wherever the cuts fall
+    heads = _in_slices(np.matmul, block, shifted, axis=-4, width=BLOCK)
     parts = np.concatenate(
-        [(block @ shifted)[..., 0, 0], np.stack(tails, -1)[..., None, :]], axis=-2
+        [p[..., 0, 0] for p in heads] + [np.stack(tails, -1)[..., None, :]], axis=-2
     )
     by_band = np.swapaxes(parts, -1, -2).reshape(-1, nfull + 1)
     sums = [math.fsum(p.tolist()) for p in by_band]  # one band of one row each
     return sums if c.ndim == 1 else list(np.reshape(sums, (-1, b)).T)
 
 
-def _row_dots(x: Array, y: Array):
-    """x @ y for vectors, as a float, or x[i] @ y[i] for every row i.
+def _row_dots(c: Array, b: int) -> list:
+    """The b band dots of c, each one BLAS dot per row.
 
-    Both are one BLAS dot per row: ``ndarray.dot`` of two vectors, and
-    ``(B, 1, n) @ (B, n, 1)``, which takes numpy's vector-vector loop, so
-    a row of a stack gets the bits of that row alone (einsum does not).
+    ``ndarray.dot`` of two vectors gives a float, and ``(B, 1, n) @ (B, n,
+    1)``, which takes numpy's vector-vector loop, one value per row of a
+    stack, with the bits of that row alone (einsum does not).
     """
-    if x.ndim == 1:
-        return float(x.dot(y))
-    return (x[:, None, :] @ y[:, :, None])[:, 0, 0]
+    n = c.shape[-1]
+    if c.ndim == 1:
+        return [float(c[: n - j].dot(c[j:])) for j in range(b)]
+    return [(c[:, None, : n - j] @ c[:, j:, None])[:, 0, 0] for j in range(b)]
 
 
 def l2_norm_sq_quadrature(s: CardinalSpline) -> float:

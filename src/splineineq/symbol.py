@@ -11,7 +11,7 @@ import numpy as np
 import numpy.typing as npt
 
 from ._series import _check_rtol, _double_terms, power_tail, power_tail_bound
-from .bspline import _prepare, gram_autocorrelation
+from .bspline import _check_degree, _prepare, gram_autocorrelation
 
 Array = npt.NDArray[np.float64]
 
@@ -47,8 +47,7 @@ def symbol_fourier(m: int, omega):
     autocorrelation sequence: a_0 + 2 sum_{j=1}^m a_j cos(j ω).  Exact up
     to rounding, 2π-periodic, even, positive, equal to 1 at ω = 0.
     """
-    if m < 0:
-        raise ValueError("degree must be non-negative")
+    _check_degree(m)
     w, restore = _prepare(omega)
     a = gram_autocorrelation(m)
     out = np.full_like(w, a[0])
@@ -101,8 +100,7 @@ def symbol_lattice(m: int, omega, rtol: float = 1e-12) -> SymbolEval:
     ValueError unless rtol is finite and above ROUNDING_FLOOR, and when
     1 << 22 terms do not meet it.
     """
-    if m < 0:
-        raise ValueError("degree must be non-negative")
+    _check_degree(m)
     _check_rtol(rtol)
     w, restore = _prepare(omega)
     p = 2.0 * m + 2.0
@@ -144,8 +142,7 @@ def ratio_L(m: int, omega):
     degree-m spline at frequency ω.  Even, 2π-periodic, increasing on
     [0, π], maximal at ω = π.
     """
-    if m < 1:
-        raise ValueError("degree must be at least 1")
+    _check_degree(m, 1)
     w, restore = _prepare(omega)
     num = symbol_fourier(m - 1, w)
     den = symbol_fourier(m, w)

@@ -1,4 +1,5 @@
-"""One contract per input: argument shape, spacing, derivative order, rtol.
+"""One contract per input: argument shape, degree, spacing, derivative order,
+rtol.
 
 Every entry point that takes the same kind of input must treat it the same
 way and, when it refuses it, say so in the same words.
@@ -18,6 +19,8 @@ from splineineq import (
     derivative_coeffs,
     eval_bspline,
     favard,
+    gram_autocorrelation,
+    integer_samples,
     random_spline,
     ratio_L,
     sharp_constant,
@@ -27,7 +30,13 @@ from splineineq import (
     symbol_via_ef,
     verify_inequality,
 )
-from splineineq.cli import UsageError, cmd_constants, cmd_symbol, cmd_verify
+from splineineq.cli import (
+    UsageError,
+    cmd_constants,
+    cmd_extremal,
+    cmd_symbol,
+    cmd_verify,
+)
 from splineineq.favard import ROUNDING_FLOOR
 
 _series = importlib.import_module("splineineq._series")
@@ -104,6 +113,47 @@ class TestSpacingRule:
         with pytest.raises((ValueError, UsageError)) as info:
             call(spacing)
         assert str(info.value) == SPACING
+
+
+DEGREE_NEGATIVE = "degree must be non-negative"
+DEGREE_BELOW_ONE = "degree must be at least 1"
+
+
+class TestDegreeRule:
+    @pytest.mark.parametrize("m", [-1, -7])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda m: eval_bspline(m, 0.5),
+            lambda m: integer_samples(m),
+            lambda m: gram_autocorrelation(m),
+            lambda m: CardinalSpline(degree=m, knot_spacing=1.0, coeffs=[1.0]),
+            lambda m: symbol_fourier(m, 1.0),
+            lambda m: symbol_lattice(m, 1.0),
+            lambda m: symbol_via_ef(m, 1.0),
+            lambda m: sharp_constant(m, 0),
+            lambda m: cmd_symbol(m, 5),
+            lambda m: cmd_verify(m, 0, 1.0, 3, 0),
+        ],
+    )
+    def test_non_negative_from_every_caller(self, call, m):
+        with pytest.raises((ValueError, UsageError)) as info:
+            call(m)
+        assert str(info.value) == DEGREE_NEGATIVE
+
+    @pytest.mark.parametrize("m", [0, -1])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda m: bspline_derivative(m, 0.5),
+            lambda m: ratio_L(m, 1.0),
+            lambda m: cmd_extremal(m, [3]),
+        ],
+    )
+    def test_at_least_one_from_every_caller(self, call, m):
+        with pytest.raises((ValueError, UsageError)) as info:
+            call(m)
+        assert str(info.value) == DEGREE_BELOW_ONE
 
 
 ORDER_NEGATIVE = "derivative order must be non-negative"

@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import contextvars
 import os
 import subprocess
 import sys
+import threading
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -11,7 +14,14 @@ import pytest
 from numpy.testing import assert_allclose
 
 import splineineq
-from splineineq.bspline import CardinalSpline, gram_autocorrelation
+from splineineq import bspline
+from splineineq.bernstein import fejer_extremal_coeffs
+from splineineq.bspline import (
+    PARALLEL_MIN,
+    CardinalSpline,
+    _in_slices,
+    gram_autocorrelation,
+)
 from splineineq.norms import (
     BLOCK,
     _band_dots,
@@ -375,3 +385,185 @@ class TestBandDots:
                                   capture_output=True, text=True, check=True)
             out.append(proc.stdout)
         assert out[0] == out[1]
+
+
+CPU_COUNTS = (1, 2, 3, 8)
+SLICED_LENGTHS = [
+    2 * PARALLEL_MIN - 1,  # one slice
+    2 * PARALLEL_MIN,  # two slices of PARALLEL_MIN
+    2 * PARALLEL_MIN + BLOCK + 5,
+    8 * PARALLEL_MIN + 2 * BLOCK + 1,  # odd, above 1M: eight slices on 8 CPUs
+]
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """Set the CPU count the slicing helper sees."""
+
+    def set_count(count):
+        monkeypatch.setattr(bspline, "_usable_cpus", lambda: count)
+
+    return set_count
+
+
+def alternating_ones(n):
+    """The Fejér coefficients as they were built: ones, then every odd -1."""
+    c = np.ones(n + 1)
+    c[1::2] = -1.0
+    return c
+
+
+class TestSlicedKernels:
+    """Long rows are cut across the CPUs with the bits of one slice."""
+
+    @pytest.mark.parametrize("count", CPU_COUNTS)
+    @pytest.mark.parametrize(
+        "n,width",
+        [(2 * PARALLEL_MIN, 1), (8 * PARALLEL_MIN + 3, 1), (PARALLEL_MIN + 1, 2),
+         (2 * PARALLEL_MIN // BLOCK + 1, BLOCK)],
+    )
+    def test_slices_cover_the_range_in_order(self, cpus, count, n, width):
+        cpus(count)
+        before = threading.active_count()
+        got = _in_slices(
+            lambda x: (x[0], x[-1] + 1, threading.get_ident()),
+            np.arange(n),
+            width=width,
+        )
+        assert threading.active_count() == before
+        k = min(count, n * width // PARALLEL_MIN)
+        assert [(lo, hi) for lo, hi, _ in got] == [
+            (n * i // k, n * (i + 1) // k) for i in range(k)
+        ]
+        # the caller runs slice 0 and threads of their own the rest
+        assert [ident == threading.get_ident() for _, _, ident in got] == [True] + [
+            False
+        ] * (k - 1)
+
+    def test_slices_cut_every_array_along_the_axis(self, cpus):
+        cpus(2)
+        a = np.zeros((3, 2 * PARALLEL_MIN, 2))
+        b = np.zeros((1, 2 * PARALLEL_MIN, 5))
+        got = _in_slices(lambda x, h, y: (x.shape, h, y.shape), a, 0.5, b, axis=-2)
+        assert got == [((3, PARALLEL_MIN, 2), 0.5, (1, PARALLEL_MIN, 5))] * 2
+
+    @pytest.mark.parametrize("n", [0, 1, 2 * PARALLEL_MIN - 1])
+    def test_short_rows_run_in_the_caller(self, monkeypatch, n):
+        def no_cpu_count():
+            raise AssertionError("asked for the CPU count of a short row")
+
+        monkeypatch.setattr(bspline, "_usable_cpus", no_cpu_count)
+        x = np.zeros(n)
+        assert _in_slices(lambda y: (y, threading.get_ident()), x) == [
+            (x, threading.get_ident())
+        ]
+
+    def test_usable_cpus_is_the_affinity(self):
+        if hasattr(os, "sched_getaffinity"):
+            assert bspline._usable_cpus() == len(os.sched_getaffinity(0))
+        assert bspline._usable_cpus() >= 1
+
+    def test_lowest_failing_slice_raises_after_every_join(self, cpus):
+        cpus(8)
+        before = threading.active_count()
+        finished = []
+
+        def fn(x):
+            if x[0] > 0 and x[-1] < 8 * PARALLEL_MIN - 1:
+                raise ValueError(f"slice at {x[0]}")
+            finished.append(x[0])
+
+        with pytest.raises(ValueError, match=f"^slice at {PARALLEL_MIN}$"):
+            _in_slices(fn, np.arange(8 * PARALLEL_MIN))
+        assert threading.active_count() == before
+        assert sorted(finished) == [0, 7 * PARALLEL_MIN]
+
+    def test_slices_run_in_the_callers_context(self, cpus):
+        cpus(3)
+        var = contextvars.ContextVar("var", default="unset")
+        var.set("caller")
+        with np.errstate(over="ignore", invalid="raise"):
+            got = _in_slices(
+                lambda x: (var.get(), np.geterr()["over"], np.geterr()["invalid"]),
+                np.zeros(3 * PARALLEL_MIN),
+            )
+        assert got == [("caller", "ignore", "raise")] * 3
+
+    @pytest.mark.parametrize("spacing", [0.5, 1.0])
+    @pytest.mark.parametrize("n", SLICED_LENGTHS)
+    def test_norm_and_derivative_bits_any_cpu_count(self, cpus, n, spacing):
+        c = np.random.default_rng(n).uniform(-1.0, 1.0, size=n)
+        c[0], c[-1] = -0.0, 0.0
+        s = make(12, c, spacing=spacing)
+        seen = {}
+        for count in CPU_COUNTS:
+            cpus(count)
+            before = threading.active_count()
+            got = [l2_norm_sq(s).hex()]
+            for k in range(4):
+                d = derivative_coeffs(s, k)
+                got += [d.coeffs.tobytes(), l2_norm_sq(d).hex()]
+            assert threading.active_count() == before
+            seen[count] = got
+        assert all(got == seen[1] for got in seen.values())
+        for k in range(4):  # and the padded differences they replaced
+            assert seen[1][1 + 2 * k] == bits(diff_reference(c, k, spacing))
+
+    def test_stack_rows_any_cpu_count(self, cpus):
+        shape = (3, 2 * PARALLEL_MIN + 7)
+        rows = np.random.default_rng(3).uniform(-1.0, 1.0, size=shape)
+        rows[1] *= 1e3
+        seen = {}
+        for count in CPU_COUNTS:
+            cpus(count)
+            stack = make(12, rows, spacing=0.5)
+            got = [l2_norm_sq(stack).tobytes()]
+            for k in range(1, 4):
+                d = derivative_coeffs(stack, k)
+                got += [d.coeffs.tobytes(), l2_norm_sq(d).tobytes()]
+            seen[count] = got
+        assert all(got == seen[1] for got in seen.values())
+        cpus(1)
+        alone = [l2_norm_sq(make(12, row, spacing=0.5)) for row in rows]
+        assert seen[8][0] == bits(alone)
+
+    @pytest.mark.parametrize("count", CPU_COUNTS)
+    def test_fejer_coefficients_any_cpu_count(self, cpus, count):
+        cpus(count)
+        cuts = [2 * PARALLEL_MIN, 3 * PARALLEL_MIN, 8 * PARALLEL_MIN]
+        lengths = list(range(6)) + [c + d for c in cuts for d in (-3, -2, -1, 0, 1)]
+        for n in lengths:
+            before = threading.active_count()
+            got = fejer_extremal_coeffs(n)
+            assert threading.active_count() == before
+            assert got.tobytes() == alternating_ones(n).tobytes(), n
+
+    @pytest.mark.parametrize("count", CPU_COUNTS)
+    def test_huge_rows_keep_their_errors_and_warn_nowhere(self, cpus, count):
+        # +-1e308 sums, dots and differences overflow inside every slice;
+        # the caller's errstate must hold there, or a worker warns
+        n = 2 * PARALLEL_MIN + 3
+        alternating = 1e308 * alternating_ones(n - 1)
+        positive = np.full(n, 1e308)
+        with_inf = positive.copy()
+        with_inf[-2] = np.inf
+        with_nan = alternating.copy()
+        with_nan[n // 2] = np.nan
+        cpus(count)
+        before = threading.active_count()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for row in (alternating, positive):
+                s = make(3, row)  # finite, though its sum overflows
+                with pytest.raises(ValueError, match="^norms overflow: a squared"):
+                    l2_norm_sq(s)
+            with pytest.raises(ValueError, match="^coefficients must be finite$"):
+                derivative_coeffs(make(3, alternating), 1)
+            assert derivative_coeffs(make(3, positive), 1).coeffs[1:-1].max() == 0.0
+            for row in (with_inf, with_nan):
+                with pytest.raises(ValueError, match="^coefficients must be finite$"):
+                    make(3, row)
+            stack = np.stack([alternating, with_nan])
+            with pytest.raises(ValueError, match="^row 1: coefficients must be finite"):
+                make(3, stack)
+        assert threading.active_count() == before
