@@ -63,13 +63,18 @@ def _scalar(v, fmt: str) -> str:
     """Canonical text form of one scalar, shared by both formats.
 
     Only None and strings differ: JSON writes null and quoted strings,
-    CSV an empty cell and the bare string.
+    CSV an empty cell and the bare string.  A non-finite float has no
+    form in either and raises ValueError.
     """
     if isinstance(v, float):
         # 17 significant digits round-trip any double; the suffix keeps the
         # value recognizably a float when it happens to be integral.
         s = format(v, ".17g")
-        return s if "." in s or "e" in s else s + ".0"
+        if "." in s or "e" in s:
+            return s
+        if not math.isfinite(v):  # "inf", "-inf" and "nan" land here
+            raise ValueError(f"a record cannot hold the non-finite float {s}")
+        return s + ".0"
     if v is None:
         return "null" if fmt == "json-lines" else ""
     if isinstance(v, bool):
@@ -253,20 +258,17 @@ def cmd_symbol(m: int, points: int, rtol: float = 1e-12) -> OutputRecord:
     return OutputRecord(command="symbol", parameters=params, rows=rows)
 
 
-# Trials are drawn and checked this many at a time, one verify_inequality
-# call per coefficient count in each slice; the size only bounds memory.
-_VERIFY_SLICE = 1024
-
-
-def _first_failure(m: int, k: int, spacing: float, draws: list, start: int) -> str:
+def _first_failure(
+    m: int, k: int, spacing: float, stacks: dict, counts: list, slots: list
+) -> str:
     """The error of the lowest-numbered failing trial, as it fails alone."""
-    for i, coeffs in enumerate(draws, start):
+    for i, (count, r) in enumerate(zip(counts, slots)):
         try:
-            s = CardinalSpline(degree=m, knot_spacing=spacing, coeffs=coeffs)
+            s = CardinalSpline(degree=m, knot_spacing=spacing, coeffs=stacks[count][r])
             verify_inequality(s, k)
         except ValueError as exc:
             return f"trial {i}: {exc}"
-    raise AssertionError("a batch failed but none of its trials does")
+    raise AssertionError("a stack failed but none of its trials does")
 
 
 def cmd_verify(
@@ -274,38 +276,43 @@ def cmd_verify(
 ) -> OutputRecord:
     """Random-spline audit of the inequality; one row per trial plus a summary.
 
-    Trial i draws its coefficients from ``default_rng(seed + i + 1)``; the
-    trials of equal coefficient count are checked as one (batch, n) stack,
-    which gives every trial the floats it would get alone.
+    Trial i draws its coefficients from ``default_rng(seed + i + 1)``
+    straight into its row of a (batch, n) stack.  The trials of one
+    coefficient count, in trial order, form one stack for the whole run,
+    so there are at most 40 stacked checks whatever the number of
+    trials, and each gives every trial the floats it would get alone.
+    An error names the lowest-numbered failing trial.
     """
     constant = _usage(sharp_constant, m, k, spacing)
     if trials < 1:
         raise UsageError("need at least one trial")
     master = np.random.default_rng(seed)
     counts = master.integers(1, 41, size=trials)
+    sizes = np.bincount(counts)
+    stacks = {c: np.empty((b, c)) for c, b in enumerate(sizes.tolist()) if b}
+    # the trials sorted by count, each count in trial order; slots[i] is
+    # trial i's row in its stack
+    order = np.argsort(counts, kind="stable")
+    firsts = np.cumsum(sizes) - sizes
+    slots = np.empty(trials, dtype=np.intp)
+    slots[order] = np.arange(trials) - np.repeat(firsts, sizes)
+    counts, slots = counts.tolist(), slots.tolist()
+    for i, (count, r) in enumerate(zip(counts, slots)):
+        rng = np.random.default_rng(seed + i + 1)
+        stacks[count][r] = rng.uniform(-1.0, 1.0, size=count)
     ratio = np.empty(trials)
     margin = np.empty(trials)
     satisfied = np.empty(trials, dtype=bool)
-    for start in range(0, trials, _VERIFY_SLICE):
-        part = counts[start : start + _VERIFY_SLICE]
-        draws = [
-            np.random.default_rng(seed + i + 1).uniform(-1.0, 1.0, size=count)
-            for i, count in enumerate(part.tolist(), start)
-        ]
-        try:
-            for count in np.unique(part).tolist():
-                idx = np.flatnonzero(part == count)
-                s = CardinalSpline(
-                    degree=m,
-                    knot_spacing=spacing,
-                    coeffs=np.array([draws[r] for r in idx.tolist()]),
-                )
-                report = verify_inequality(s, k)
-                ratio[start + idx] = report.ratio
-                margin[start + idx] = report.margin
-                satisfied[start + idx] = report.satisfied
-        except ValueError:  # the norms overflow or underflow to zero
-            raise UsageError(_first_failure(m, k, spacing, draws, start)) from None
+    try:
+        for count, stack in stacks.items():
+            idx = order[firsts[count] : firsts[count] + len(stack)]
+            s = CardinalSpline(degree=m, knot_spacing=spacing, coeffs=stack)
+            report = verify_inequality(s, k)
+            ratio[idx] = report.ratio
+            margin[idx] = report.margin
+            satisfied[idx] = report.satisfied
+    except ValueError:  # the norms overflow or underflow to zero
+        raise UsageError(_first_failure(m, k, spacing, stacks, counts, slots)) from None
     ratios = ratio.tolist()
     margins = margin.tolist()
     oks = satisfied.tolist()
@@ -320,7 +327,7 @@ def cmd_verify(
             "satisfied": ok,
         }
         for i, (count, r, g, ok) in enumerate(
-            zip(counts.tolist(), ratios, margins, oks)
+            zip(counts, ratios, margins, oks)
         )
     ]
     # the same pairwise max/min/and, in trial order, as a running fold

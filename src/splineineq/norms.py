@@ -118,7 +118,9 @@ def _band_dots(c: Array, b: int) -> list:
     ``matmul`` call dots with all b shifts while the block is in cache, so
     the row is read from memory once and not b times; the block partials
     and the dots of the tail are summed by ``math.fsum``, so the result
-    does not depend on how BLAS splits or orders a dot.
+    does not depend on how BLAS splits or orders a dot.  A band whose
+    partials add up past the float range, or hold both infinities, sums
+    to NaN, which l2_norm_sq rejects as an overflow.
     """
     n = c.shape[-1]
     nfull = (n - b + 1) // BLOCK
@@ -147,8 +149,19 @@ def _band_dots(c: Array, b: int) -> list:
         [p[..., 0, 0] for p in heads] + [np.stack(tails, -1)[..., None, :]], axis=-2
     )
     by_band = np.swapaxes(parts, -1, -2).reshape(-1, nfull + 1)
-    sums = [math.fsum(p.tolist()) for p in by_band]  # one band of one row each
+    try:
+        sums = [math.fsum(p.tolist()) for p in by_band]  # one band of one row each
+    except (OverflowError, ValueError):  # past the float range, or inf - inf
+        sums = [_fsum_or_nan(p) for p in by_band]
     return sums if c.ndim == 1 else list(np.reshape(sums, (-1, b)).T)
+
+
+def _fsum_or_nan(p: Array) -> float:
+    """``math.fsum`` of p, or NaN where its exact sum has no float."""
+    try:
+        return math.fsum(p.tolist())
+    except (OverflowError, ValueError):
+        return math.nan
 
 
 def _row_dots(c: Array, b: int) -> list:

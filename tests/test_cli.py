@@ -79,6 +79,16 @@ class TestSerialization:
             back = parse_record(render_record(record, fmt), fmt)
             assert [r["v"] for r in back.rows] == vals
 
+    @pytest.mark.parametrize("v", [math.inf, -math.inf, math.nan, np.float64(math.inf)])
+    @pytest.mark.parametrize("fmt", ["csv", "json-lines"])
+    def test_non_finite_float_rejected(self, v, fmt):
+        # "inf.0" and "nan.0" are neither JSON nor a float to the CSV parser
+        with pytest.raises(ValueError, match="non-finite"):
+            cli._scalar(v, fmt)
+        record = OutputRecord(command="t", parameters={}, rows=[{"v": v}])
+        with pytest.raises(ValueError, match="non-finite"):
+            render_record(record, fmt)
+
     def test_unknown_format_rejected(self):
         record = cmd_roots(3)
         with pytest.raises(cli.UsageError):
@@ -260,6 +270,9 @@ GOLDEN = [
     # long enough for the blocked band dots of l2_norm_sq
     ("extremal --degree 12 --n 65535 --n 1048575", "json-lines",
      "3ecb46afcabf8ae68cd6b20134a2a29f15a14ad93fda758d0d6ee8c3eff86801"),
+    # every one of the 40 coefficient counts is a stack of many trials
+    ("verify --degree 6 --order 3 --spacing 0.5 --trials 3000 --seed 11", "json-lines",
+     "4c8463cf5a9a14233bbfb40fd0019ef8828a36cc4a124bb450025e5ab0316837"),
     ("constants --max-degree 3", "csv",
      "0d5c5632646e55114fc766f9b959b44dbae2eb38295877c927c68646441eced9"),
     ("constants --max-degree 4 --max-order 2 --spacing 0.5 --rtol 1e-10", "csv",
@@ -278,6 +291,8 @@ GOLDEN = [
      "0293b10a63e322c71de24bc2b9e997970afd82504d168ff0eaa535d688d0bf3a"),
     ("extremal --degree 12 --n 65535 --n 1048575", "csv",
      "3601b444a850546e10a4e1b1f206bdb43b92505fc7f0b911968e11c055ebf229"),
+    ("verify --degree 6 --order 3 --spacing 0.5 --trials 3000 --seed 11", "csv",
+     "daadb861cde050d451a8c7fb31a793a6da7a1bd31e7bf76d733a8cdaaeb7cd4a"),
 ]
 
 
@@ -440,7 +455,7 @@ class TestBatchedVerify:
     @pytest.mark.parametrize(
         "m,k,spacing,seed", [(0, 0, 1.0, 3), (3, 2, 0.5, 7), (12, 12, 2.0, 5)]
     )
-    @pytest.mark.parametrize("trials", [1, 1023, 1024, 1025, 2500])
+    @pytest.mark.parametrize("trials", [1, 1023, 1024, 1025, 2500, 4097])
     def test_matches_per_trial_loop(self, m, k, spacing, seed, trials):
         got = cmd_verify(m, k, spacing, trials, seed)
         want = verify_reference(m, k, spacing, trials, seed)
@@ -466,6 +481,29 @@ class TestBatchedVerify:
 
         monkeypatch.setattr(cli, "verify_inequality", failing)
         with pytest.raises(cli.UsageError, match="^trial 0: forged failure$"):
+            cmd_verify(2, 1, 1.0, trials, seed)
+
+    def test_reports_lowest_failing_trial_past_trial_1024(self, monkeypatch):
+        # two forged failing trials: the lower-numbered one has the larger
+        # count, so its stack is checked after the other's
+        trials, seed = 1500, 4
+        counts = np.random.default_rng(seed).integers(1, 41, size=trials).tolist()
+        first = next(i for i in range(1100, trials) if counts[i] > 1)
+        later = next(i for i in range(first + 1, trials) if counts[i] < counts[first])
+        bad = [
+            np.random.default_rng(seed + i + 1).uniform(-1.0, 1.0, size=counts[i])
+            for i in (first, later)
+        ]
+
+        def failing(s, k):
+            rows = s.coeffs.reshape(-1, s.coeffs.shape[-1])
+            for b in bad:
+                if b.size == rows.shape[1] and (rows == b).all(axis=1).any():
+                    raise ValueError("forged failure")
+            return verify_inequality(s, k)
+
+        monkeypatch.setattr(cli, "verify_inequality", failing)
+        with pytest.raises(cli.UsageError, match=f"^trial {first}: forged failure$"):
             cmd_verify(2, 1, 1.0, trials, seed)
 
 

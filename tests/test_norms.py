@@ -278,6 +278,23 @@ class TestNonFinite:
         with pytest.raises(ValueError, match="^norms overflow"):
             l2_norm_sq(make(2, rows[1]))
 
+    def test_block_partials_past_the_float_range(self):
+        # each block partial is finite and their sum is not, which fsum
+        # raises OverflowError for; 4000 such coefficients give 9.0e307
+        assert l2_norm_sq(make(0, np.full(4000, 1.5e152))) == pytest.approx(9.0e307)
+        row = np.full(5 * BLOCK + 20, 1.5e152)
+        with pytest.raises(ValueError, match="^norms overflow"):
+            l2_norm_sq(make(0, row))
+        with pytest.raises(ValueError, match="^row 1: norms overflow"):
+            l2_norm_sq(make(0, np.stack([row * 1e-152, row])))
+
+    def test_both_infinities_in_one_band(self):
+        # band 1 has a +inf block partial and a -inf one, which fsum
+        # raises ValueError for
+        row = np.concatenate([np.full(BLOCK, 1e160), np.tile([1e160, -1e160], BLOCK)])
+        with pytest.raises(ValueError, match="^norms overflow"):
+            l2_norm_sq(make(1, row))
+
     def test_overflowing_derivative_rejected(self):
         with pytest.raises(ValueError, match="finite"):
             derivative_coeffs(make(1, [1e308, -1e308]), 1)
