@@ -14,8 +14,10 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
 import math
+import operator
 import re
 import sys
 from dataclasses import dataclass, field
@@ -102,27 +104,78 @@ def _parse_cell(s: str):
     return s
 
 
-def _json_object(d: dict, prefixes: dict) -> str:
-    """One JSON object; ``prefixes`` caches the quoted keys per key tuple."""
-    keys = tuple(d)
-    heads = prefixes.get(keys)
-    if heads is None:
-        heads = prefixes[keys] = [json.dumps(k) + ": " for k in keys]
-    body = ", ".join(
-        [h + _scalar(v, "json-lines") for h, v in zip(heads, d.values())]
-    )
-    return "{" + body + "}"
+# rows rendered at once; bounds the cell strings alive beside the record
+RENDER_CHUNK = 2048
+
+# equal values of one of these types have one text, bar the signed zeros
+_PLAIN = (str, int, bool, float, type(None))
+
+
+def _column(values: list, fmt: str) -> list[str]:
+    """``[_scalar(v, fmt) for v in values]``, a column at a time."""
+    n = len(values)
+    if not n:
+        return []
+    first = values[0]
+    kinds = set(map(type, values))
+    kind = kinds.pop() if len(kinds) == 1 else None
+    if (
+        kind in _PLAIN
+        and values.count(first) == n
+        and not (kind is float and first == 0.0)
+    ):
+        return [_scalar(first, fmt)] * n
+    if kind is float:
+        # "%.17g" is format(v, ".17g"); the cells it leaves without a point
+        # or exponent (integral values, the zeros, inf, nan) go to _scalar
+        cells = ("\n".join(["%.17g"] * n) % tuple(values)).split("\n")
+        return [
+            c if "." in c or "e" in c else _scalar(v, fmt)
+            for c, v in zip(cells, values)
+        ]
+    if kind is int:
+        return list(map(str, values))
+    if kind is bool:
+        yes, no = _scalar(True, fmt), _scalar(False, fmt)
+        return [yes if v else no for v in values]
+    return [_scalar(v, fmt) for v in values]
+
+
+def _cells(rows: list, keys, fmt: str) -> list[list[str]]:
+    """The cells of columns ``keys`` of ``rows``, one list per column."""
+    return [_column(list(map(operator.itemgetter(k), rows)), fmt) for k in keys]
+
+
+def _json_lines(rows: list) -> list[str]:
+    """One JSON object per row, one ``%`` template per run of equal keys."""
+    lines = []
+    for keys, run in itertools.groupby(rows, key=tuple):
+        run = list(run)
+        template = "{%s}" % ", ".join(
+            [json.dumps(k).replace("%", "%%") + ": %s" for k in keys]
+        )
+        cells = _cells(run, keys, "json-lines")
+        flat = tuple(itertools.chain.from_iterable(zip(*cells)))
+        lines.append("\n".join([template] * len(run)) % flat)
+    return lines
+
+
+def _chunks(rows: list):
+    return (rows[i : i + RENDER_CHUNK] for i in range(0, len(rows), RENDER_CHUNK))
 
 
 def render_record(record: OutputRecord, fmt: str) -> str:
+    """The record as text, rendered by column in chunks of RENDER_CHUNK rows."""
     if fmt == "json-lines":
-        prefixes: dict = {}
+        [params] = _json_lines([record.parameters])
         head = (
             f'{{"schema_version": {_scalar(record.schema_version, fmt)}, '
             f'"command": {_scalar(record.command, fmt)}, '
-            f'"parameters": {_json_object(record.parameters, prefixes)}}}'
+            f'"parameters": {params}}}'
         )
-        lines = [head] + [_json_object(row, prefixes) for row in record.rows]
+        lines = [head]
+        for chunk in _chunks(record.rows):
+            lines += _json_lines(chunk)
         return "\n".join(lines) + "\n"
     if fmt == "csv":
         buf = io.StringIO()
@@ -134,8 +187,8 @@ def render_record(record: OutputRecord, fmt: str) -> str:
         if record.rows:
             columns = list(record.rows[0].keys())
             writer.writerow(columns)
-            for row in record.rows:
-                writer.writerow([_scalar(row[c], fmt) for c in columns])
+            for chunk in _chunks(record.rows):
+                writer.writerows(zip(*_cells(chunk, columns, fmt)))
         return buf.getvalue()
     raise UsageError(f"unknown format: {fmt}")
 
@@ -276,12 +329,15 @@ def cmd_verify(
 ) -> OutputRecord:
     """Random-spline audit of the inequality; one row per trial plus a summary.
 
-    Trial i draws its coefficients from ``default_rng(seed + i + 1)``
-    straight into its row of a (batch, n) stack.  The trials of one
-    coefficient count, in trial order, form one stack for the whole run,
-    so there are at most 40 stacked checks whatever the number of
-    trials, and each gives every trial the floats it would get alone.
-    An error names the lowest-numbered failing trial.
+    Trial i draws its coefficients from ``default_rng(seed + i + 1)``:
+    ``random(out=...)`` writes its unit doubles u straight into its row
+    of a (batch, n) stack, and each stack then becomes ``2u - 1`` in
+    place, the bits ``uniform(-1.0, 1.0)`` gives (``2u`` is exact, so
+    ``-1 + 2u`` rounds once either way).  The trials of one coefficient
+    count, in trial order, form one stack for the whole run, so there
+    are at most 40 stacked checks whatever the number of trials, and
+    each gives every trial the floats it would get alone.  An error
+    names the lowest-numbered failing trial.
     """
     constant = _usage(sharp_constant, m, k, spacing)
     if trials < 1:
@@ -298,8 +354,10 @@ def cmd_verify(
     slots[order] = np.arange(trials) - np.repeat(firsts, sizes)
     counts, slots = counts.tolist(), slots.tolist()
     for i, (count, r) in enumerate(zip(counts, slots)):
-        rng = np.random.default_rng(seed + i + 1)
-        stacks[count][r] = rng.uniform(-1.0, 1.0, size=count)
+        np.random.default_rng(seed + i + 1).random(out=stacks[count][r])
+    for stack in stacks.values():
+        stack *= 2.0
+        stack -= 1.0
     ratio = np.empty(trials)
     margin = np.empty(trials)
     satisfied = np.empty(trials, dtype=bool)
@@ -502,6 +560,9 @@ def main(argv=None) -> int:
         return status
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # a size no allocation can hold is bad input
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
 
 

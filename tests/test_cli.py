@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import csv
 import hashlib
 import importlib
+import io
+import json
 import math
 import os
 import subprocess
@@ -11,6 +14,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import splineineq
 from splineineq import cli
@@ -93,6 +98,193 @@ class TestSerialization:
         record = cmd_roots(3)
         with pytest.raises(cli.UsageError):
             render_record(record, "xml")
+
+
+def render_record_reference(record, fmt):
+    """The row-at-a-time renderer that column rendering replaced, as an oracle."""
+    if fmt == "json-lines":
+
+        def obj(d):
+            body = ", ".join(
+                json.dumps(k) + ": " + cli._scalar(v, fmt) for k, v in d.items()
+            )
+            return "{" + body + "}"
+
+        head = (
+            f'{{"schema_version": {cli._scalar(record.schema_version, fmt)}, '
+            f'"command": {cli._scalar(record.command, fmt)}, '
+            f'"parameters": {obj(record.parameters)}}}'
+        )
+        return "\n".join([head] + [obj(row) for row in record.rows]) + "\n"
+    buf = io.StringIO()
+    buf.write(f"# schema_version={record.schema_version}\n")
+    buf.write(f"# command={record.command}\n")
+    for k, v in record.parameters.items():
+        buf.write(f"# parameter:{k}={cli._scalar(v, fmt)}\n")
+    writer = csv.writer(buf, lineterminator="\n")
+    if record.rows:
+        columns = list(record.rows[0].keys())
+        writer.writerow(columns)
+        for row in record.rows:
+            writer.writerow([cli._scalar(row[c], fmt) for c in columns])
+    return buf.getvalue()
+
+
+SPECIAL_FLOATS = [
+    0.0, -0.0, 1.0, -3.0, 0.1, 1e16, -1e16, 1e17, 2.0**53, 2.0**53 + 2.0,
+    5e-324, -5e-324, 2.2250738585072014e-308 / 3, 2.2250738585072014e-308,
+    sys.float_info.max, -sys.float_info.max,
+]
+FLOATS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(SPECIAL_FLOATS)
+INTS = st.integers(-(10**60), 10**60) | st.sampled_from([0, -1, 2**53 + 1, 2**64, -(2**63)])
+TEXTS = st.text(alphabet=st.sampled_from('ab%",\n :é')) | st.sampled_from(
+    ["", "%", "%s", "%%", '"', ",", 'x%,"y', "trial", "summary"]
+)
+SCALARS = st.one_of(
+    FLOATS,
+    INTS,
+    st.booleans(),
+    st.none(),
+    TEXTS,
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    FLOATS.map(np.float64),
+)
+COLUMNS = st.one_of(
+    st.lists(FLOATS, max_size=60),
+    st.lists(INTS, max_size=60),
+    st.lists(st.booleans(), max_size=60),
+    st.lists(TEXTS, max_size=60),
+    st.lists(SCALARS, max_size=60),
+    # constant columns: one object repeated, and equal values built apart
+    st.tuples(SCALARS, st.integers(1, 60)).map(lambda t: [t[0]] * t[1]),
+    st.tuples(FLOATS, st.integers(1, 60)).map(
+        lambda t: [float(repr(t[0])) for _ in range(t[1])]
+    ),
+)
+
+
+class TestColumn:
+    """``_column`` renders a column to exactly the cells ``_scalar`` gives."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(COLUMNS)
+    def test_matches_scalar(self, col):
+        for fmt in ("json-lines", "csv"):
+            assert cli._column(col, fmt) == [cli._scalar(v, fmt) for v in col]
+
+    @pytest.mark.parametrize(
+        "col",
+        [
+            [],
+            [0.0] * 5,
+            [-0.0] * 5,
+            [0.0, -0.0, 0.0],
+            [1.0, 1, True],
+            [1, 1, 1],
+            [True] * 4,
+            [False, True, False],
+            [None] * 3,
+            [1e16, 1e17, 2.0**53, -2.0**53, 5e-324, sys.float_info.max],
+            [3.0] * 7,
+            [np.float64(2.0)] * 3,
+            [np.float64(0.0), np.float64(-0.0)],
+            [np.int64(7), np.int64(-7), 7],
+            [10**40, -(10**40), 0],
+            ["trial"] * 3 + ["summary"],
+            ["50%", '"q"', "a,b"],
+            [1, None, 2],
+            [0.5, None, 0.25],
+        ],
+    )
+    def test_edge_columns(self, col):
+        for fmt in ("json-lines", "csv"):
+            assert cli._column(col, fmt) == [cli._scalar(v, fmt) for v in col]
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("where", [0, 3, 9])
+    @pytest.mark.parametrize("fmt", ["csv", "json-lines"])
+    def test_non_finite_float_raises(self, bad, where, fmt):
+        col = [0.25 * i for i in range(10)]
+        col[where] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            cli._column(col, fmt)
+        with pytest.raises(ValueError, match="non-finite"):
+            cli._column([bad] * 4, fmt)
+        with pytest.raises(ValueError, match="non-finite"):
+            cli._column([np.float64(v) for v in col], fmt)
+
+
+def _audit_like(n):
+    """n trial rows like verify's plus its summary row, with odd rows mixed in."""
+    rows = [
+        {"kind": "trial", "trial": i, "coeff_count": 1 + i % 40,
+         "ratio": 1.0 / (i + 3), "constant": 27.5, "margin": -float(i) or 0.0,
+         "satisfied": i % 7 != 3}
+        for i in range(n)
+    ]
+    rows.append({"kind": "summary", "trial": None, "coeff_count": None,
+                 "ratio": 0.5, "constant": 27.5, "margin": -0.0, "satisfied": False})
+    if n > 100:
+        # other key sets between runs of the common one; CSV keeps the
+        # columns of the first row and drops the extra key
+        rows[50] = dict(rows[50], **{"note 50%": 'a "b", c%s'})
+        rows[51] = {"kind": "odd", "trial": 51, "coeff_count": 2, "ratio": 2.0,
+                    "constant": 27.5, "margin": 1e17, "satisfied": True}
+        rows[51] = dict(reversed(list(rows[51].items())))
+    return OutputRecord(
+        command="verify",
+        parameters={"degree": 6, "spacing": 0.5, "rate %": "100%", "none": None},
+        rows=rows,
+    )
+
+
+class TestColumnRenderer:
+    """Rendering by column in chunks gives the row-at-a-time bytes."""
+
+    @pytest.mark.parametrize("n", [0, 1, 2047, 2048, 2049, 4097])
+    @pytest.mark.parametrize("fmt", ["csv", "json-lines"])
+    def test_matches_row_renderer(self, n, fmt):
+        assert cli.RENDER_CHUNK == 2048  # the sizes above straddle its edges
+        record = _audit_like(n)
+        assert render_record(record, fmt) == render_record_reference(record, fmt)
+
+    @pytest.mark.parametrize("build", ALL_RECORDS)
+    @pytest.mark.parametrize("fmt", ["csv", "json-lines"])
+    def test_every_command(self, build, fmt):
+        record = build()
+        assert render_record(record, fmt) == render_record_reference(record, fmt)
+
+    def test_keys_with_percent(self):
+        record = OutputRecord(
+            command="t",
+            parameters={},
+            rows=[{"%s": i, "100%": 0.5 * i, "%%d": "%d"} for i in range(5)],
+        )
+        for fmt in ("csv", "json-lines"):
+            assert render_record(record, fmt) == render_record_reference(record, fmt)
+        rows = parse_record(render_record(record, "json-lines"), "json-lines").rows
+        assert rows == record.rows
+
+    def test_symbol_sweep(self):
+        record = cmd_symbol(3, 4100)
+        for fmt in ("csv", "json-lines"):
+            assert render_record(record, fmt) == render_record_reference(record, fmt)
+
+
+class TestInPlaceDraw:
+    """``random(out=row)`` then ``2u - 1`` has the bits of ``uniform(-1, 1)``."""
+
+    @pytest.mark.parametrize("count", range(1, 41))
+    def test_bitwise_uniform(self, count):
+        seeds = range(250)
+        stack = np.empty((len(seeds), count))
+        for r, seed in enumerate(seeds):
+            np.random.default_rng(seed).random(out=stack[r])
+        stack *= 2.0
+        stack -= 1.0
+        for r, seed in enumerate(seeds):
+            want = np.random.default_rng(seed).uniform(-1.0, 1.0, size=count)
+            assert stack[r].tobytes() == want.tobytes(), seed
 
 
 class TestCommands:
@@ -273,6 +465,11 @@ GOLDEN = [
     # every one of the 40 coefficient counts is a stack of many trials
     ("verify --degree 6 --order 3 --spacing 0.5 --trials 3000 --seed 11", "json-lines",
      "4c8463cf5a9a14233bbfb40fd0019ef8828a36cc4a124bb450025e5ab0316837"),
+    # several render chunks: every trial row, and the summary in the last
+    ("verify --degree 6 --order 3 --spacing 0.5 --trials 5000 --seed 0", "json-lines",
+     "b5efd41ce7da97a24852dcc1430117c8193c5a513795713fb7f996edb1bb5bfb"),
+    ("symbol --degree 12 --points 4097", "json-lines",
+     "62f605c28da30abb4003c0fa1466a43686fd7eb359a6e1ae773c9dd511431148"),
     ("constants --max-degree 3", "csv",
      "0d5c5632646e55114fc766f9b959b44dbae2eb38295877c927c68646441eced9"),
     ("constants --max-degree 4 --max-order 2 --spacing 0.5 --rtol 1e-10", "csv",
@@ -293,6 +490,10 @@ GOLDEN = [
      "3601b444a850546e10a4e1b1f206bdb43b92505fc7f0b911968e11c055ebf229"),
     ("verify --degree 6 --order 3 --spacing 0.5 --trials 3000 --seed 11", "csv",
      "daadb861cde050d451a8c7fb31a793a6da7a1bd31e7bf76d733a8cdaaeb7cd4a"),
+    ("verify --degree 6 --order 3 --spacing 0.5 --trials 5000 --seed 0", "csv",
+     "a54db513e8d39ed0090591990fc86df5b1d210e892fe75f63bf6ed0f583db7ba"),
+    ("symbol --degree 12 --points 4097", "csv",
+     "8c45457822aeea3ae00d3c6f32b87735c7444b456231313b997ac1196428085c"),
 ]
 
 
@@ -423,6 +624,26 @@ class TestOverflowStderr:
         assert proc.stdout == ""
         [line] = proc.stderr.splitlines()
         assert line.startswith("error: trial 0: norms overflow")
+
+
+class TestOutOfMemory:
+    """A size no allocation can hold is a usage error, not a violation."""
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            # each asks for terabytes, so the first allocation fails at once
+            "extremal --degree 2 --n 1000000000000",
+            "symbol --degree 2 --points 10000000000000",
+            "verify --degree 2 --order 1 --trials 10000000000000",
+        ],
+    )
+    def test_usage_error(self, capsys, args):
+        assert main(args.split()) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith("error: out of memory: ")
 
 
 def verify_reference(m, k, spacing, trials, seed):
