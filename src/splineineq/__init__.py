@@ -19,10 +19,8 @@ from .bernstein import (
 )
 from .bspline import (
     CardinalSpline,
-    bspline_derivative,
     eval_bspline,
     gram_autocorrelation,
-    integer_samples,
     spline_eval,
 )
 from .euler_frobenius import (
@@ -46,7 +44,6 @@ __all__ = [
     "InequalityReport",
     "RootCountError",
     "SymbolEval",
-    "bspline_derivative",
     "derivative_coeffs",
     "ef_roots",
     "euler_frobenius",
@@ -55,7 +52,6 @@ __all__ = [
     "favard",
     "fejer_extremal_coeffs",
     "gram_autocorrelation",
-    "integer_samples",
     "l2_norm_sq",
     "l2_norm_sq_quadrature",
     "random_spline",

@@ -1,5 +1,5 @@
-"""Cardinal B-splines on integer knots: evaluation, derivatives, integer samples,
-autocorrelations, and pointwise evaluation of B-spline series."""
+"""Cardinal B-splines on integer knots: evaluation, autocorrelations, and
+pointwise evaluation of B-spline series."""
 
 from __future__ import annotations
 
@@ -19,8 +19,6 @@ Array = npt.NDArray[np.float64]
 __all__ = [
     "CardinalSpline",
     "eval_bspline",
-    "bspline_derivative",
-    "integer_samples",
     "gram_autocorrelation",
     "spline_eval",
 ]
@@ -172,17 +170,6 @@ def eval_bspline(m: int, x):
     return restore(out)
 
 
-def bspline_derivative(m: int, x):
-    """First derivative of N_m via N_m'(x) = N_{m-1}(x) - N_{m-1}(x-1).
-
-    For m = 1 the derivative jumps at knots; the right-hand limit is
-    returned there.  Rejects m = 0 (the derivative is not a function).
-    """
-    _check_degree(m, 1)
-    u, restore = _prepare(x)
-    return restore(eval_bspline(m - 1, u) - eval_bspline(m - 1, u - 1.0))
-
-
 @lru_cache(maxsize=None)
 def _scaled_integer_samples(n: int) -> tuple[int, ...]:
     """n! * N_n(j) for j = 1..n, exact integers.
@@ -197,16 +184,6 @@ def _scaled_integer_samples(n: int) -> tuple[int, ...]:
             s += (-1) ** k * math.comb(n + 1, k) * (j - k) ** n
         out.append(s)
     return tuple(out)
-
-
-def integer_samples(m: int) -> Array:
-    """Interior integer samples [N_m(1), ..., N_m(m)]; empty for m = 0.
-
-    Computed exactly as integers over m!, then rounded once to float.
-    """
-    _check_degree(m)
-    f = math.factorial(m)
-    return np.array([t / f for t in _scaled_integer_samples(m)], dtype=np.float64)
 
 
 @lru_cache(maxsize=None)

@@ -18,12 +18,15 @@ import itertools
 import json
 import math
 import operator
+import os
 import re
 import sys
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import bspline
 from .bernstein import extremal_ratio, sharp_constant, verify_inequality
 from .bspline import CardinalSpline, _check_degree, _check_spacing
 from .euler_frobenius import ef_roots, representative_roots, symbol_via_ef
@@ -324,6 +327,100 @@ def _first_failure(
     raise AssertionError("a stack failed but none of its trials does")
 
 
+# Trials per process below which verify draws every trial in one process.
+# On a 2-vCPU VM forking a worker and reaping it costs about 2 ms, some 100
+# draws; two processes lost at 256 trials and won from 512, and at 1024 each
+# they drew 2048 trials in 23 ms instead of 37.  1500 trials stay in one
+# process.
+DRAW_MIN = 1024
+
+
+def _draw(buf, seed: int, starts: list, counts: list, lo: int, hi: int) -> None:
+    """Trials lo..hi-1 draw their unit doubles into their rows of buf."""
+    for i, start, count in zip(range(lo, hi), starts[lo:hi], counts[lo:hi]):
+        np.random.default_rng(seed + i + 1).random(out=buf[start : start + count])
+
+
+def _draw_all(size: int, seed: int, starts: list, counts: list):
+    """A flat buffer of ``size`` floats holding every trial's unit doubles.
+
+    Trial i's row is ``buf[starts[i] : starts[i] + counts[i]]``.  The
+    trials are cut into one contiguous range per usable CPU, each of at
+    least DRAW_MIN trials, when this process may fork: a POSIX system with
+    an affinity call and no other Python thread alive.  Then the buffer is
+    an anonymous shared mapping that forked workers fill in place.
+    Otherwise, or when no such mapping can be made, one process draws
+    every trial.  Either way each row gets the same bits.
+    """
+    trials = len(counts)
+    k = min(bspline._usable_cpus(), trials // DRAW_MIN)
+    if (
+        k > 1
+        and hasattr(os, "fork")
+        and hasattr(os, "sched_getaffinity")
+        and threading.active_count() == 1
+    ):
+        import mmap  # here, so that no other subcommand loads it
+
+        try:
+            buf = np.frombuffer(mmap.mmap(-1, 8 * size), dtype=np.float64)
+        except OSError:  # no shared mapping: draw in this process alone
+            pass
+        else:
+            bounds = [trials * j // k for j in range(k + 1)]
+            _draw_forked(buf, seed, starts, counts, bounds)
+            return buf
+    buf = np.empty(size)
+    _draw(buf, seed, starts, counts, 0, trials)
+    return buf
+
+
+def _draw_forked(buf, seed: int, starts: list, counts: list, bounds: list) -> None:
+    """_draw over each range ``bounds[j]:bounds[j + 1]`` of trials.
+
+    This process draws range 0 and a forked worker each other range,
+    writing the shared buf in place.  A range whose worker cannot be
+    forked or does not exit 0 is drawn here, so the bits never depend on
+    a worker.  Every worker is reaped, and killed first if this raises
+    while it runs, before this returns.
+    """
+    mine = [(bounds[0], bounds[1])]
+    workers = []  # (pid, lo, hi) of each worker not yet reaped
+    try:
+        for lo, hi in zip(bounds[1:-1], bounds[2:]):
+            try:
+                pid = os.fork()
+            except OSError:  # no process to spare
+                mine.append((lo, hi))
+                continue
+            if pid == 0:  # the worker: draw, then leave without cleanup
+                code = 1
+                try:
+                    _draw(buf, seed, starts, counts, lo, hi)
+                    code = 0
+                finally:
+                    os._exit(code)
+            workers.append((pid, lo, hi))
+        for lo, hi in mine:
+            _draw(buf, seed, starts, counts, lo, hi)
+        while workers:
+            pid, lo, hi = workers[0]
+            _, status = os.waitpid(pid, 0)
+            workers.pop(0)
+            if status != 0:
+                _draw(buf, seed, starts, counts, lo, hi)
+    finally:
+        if workers:
+            import signal
+
+            for pid, _, _ in workers:
+                try:
+                    os.kill(pid, signal.SIGKILL)
+                    os.waitpid(pid, 0)
+                except OSError:  # reaped just before the interrupt
+                    pass
+
+
 def cmd_verify(
     m: int, k: int, spacing: float, trials: int, seed: int
 ) -> OutputRecord:
@@ -331,13 +428,16 @@ def cmd_verify(
 
     Trial i draws its coefficients from ``default_rng(seed + i + 1)``:
     ``random(out=...)`` writes its unit doubles u straight into its row
-    of a (batch, n) stack, and each stack then becomes ``2u - 1`` in
+    of a (batch, n) stack, and the stacks then become ``2u - 1`` in
     place, the bits ``uniform(-1.0, 1.0)`` gives (``2u`` is exact, so
     ``-1 + 2u`` rounds once either way).  The trials of one coefficient
     count, in trial order, form one stack for the whole run, so there
     are at most 40 stacked checks whatever the number of trials, and
-    each gives every trial the floats it would get alone.  An error
-    names the lowest-numbered failing trial.
+    each gives every trial the floats it would get alone.  The stacks
+    are views of one flat buffer; on Linux, with enough trials, forked
+    workers seed and draw contiguous ranges of trials into it across the
+    usable CPUs (see _draw_all), with the same bits.  An error names the
+    lowest-numbered failing trial.
     """
     constant = _usage(sharp_constant, m, k, spacing)
     if trials < 1:
@@ -345,19 +445,25 @@ def cmd_verify(
     master = np.random.default_rng(seed)
     counts = master.integers(1, 41, size=trials)
     sizes = np.bincount(counts)
-    stacks = {c: np.empty((b, c)) for c, b in enumerate(sizes.tolist()) if b}
+    # each count's stack in the flat buffer: its floats and where they start
+    lengths = sizes * np.arange(len(sizes))
+    bases = np.cumsum(lengths) - lengths
     # the trials sorted by count, each count in trial order; slots[i] is
     # trial i's row in its stack
     order = np.argsort(counts, kind="stable")
     firsts = np.cumsum(sizes) - sizes
     slots = np.empty(trials, dtype=np.intp)
     slots[order] = np.arange(trials) - np.repeat(firsts, sizes)
+    starts = bases[counts] + slots * counts
     counts, slots = counts.tolist(), slots.tolist()
-    for i, (count, r) in enumerate(zip(counts, slots)):
-        np.random.default_rng(seed + i + 1).random(out=stacks[count][r])
-    for stack in stacks.values():
-        stack *= 2.0
-        stack -= 1.0
+    buf = _draw_all(int(lengths.sum()), seed, starts.tolist(), counts)
+    buf *= 2.0
+    buf -= 1.0
+    stacks = {
+        c: buf[bases[c] : bases[c] + b * c].reshape(b, c)
+        for c, b in enumerate(sizes.tolist())
+        if b
+    }
     ratio = np.empty(trials)
     margin = np.empty(trials)
     satisfied = np.empty(trials, dtype=bool)

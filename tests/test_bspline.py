@@ -8,12 +8,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from bspline_extras import bspline_derivative, integer_samples
 from splineineq.bspline import (
     CardinalSpline,
-    bspline_derivative,
     eval_bspline,
     gram_autocorrelation,
-    integer_samples,
     spline_eval,
 )
 

@@ -1,14 +1,18 @@
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import importlib
 import io
 import json
 import math
+import mmap
 import os
+import signal
 import subprocess
 import sys
+import threading
 from collections import Counter
 from pathlib import Path
 
@@ -18,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import splineineq
-from splineineq import cli
+from splineineq import bspline, cli
 from splineineq.bernstein import (
     REPORT_SLACK,
     InequalityReport,
@@ -726,6 +730,179 @@ class TestBatchedVerify:
         monkeypatch.setattr(cli, "verify_inequality", failing)
         with pytest.raises(cli.UsageError, match=f"^trial {first}: forged failure$"):
             cmd_verify(2, 1, 1.0, trials, seed)
+
+
+AUDIT = (6, 3, 0.5)  # degree, order and spacing of the benchmark's audit
+
+
+def rendered(record: OutputRecord) -> tuple[str, str]:
+    return render_record(record, "csv"), render_record(record, "json-lines")
+
+
+@functools.lru_cache(maxsize=None)
+def audit_reference(trials: int, seed: int) -> tuple[str, str]:
+    """The per-trial loop's audit record, rendered as CSV and JSON lines."""
+    return rendered(verify_reference(*AUDIT, trials, seed))
+
+
+class TestSplitDraw:
+    """verify's draw split across forked workers gives the same bytes."""
+
+    @pytest.fixture(autouse=True)
+    def no_child_left(self):
+        yield
+        # a worker not reaped would be a zombie child of this process
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        """The number of os.fork calls made in this process."""
+        calls = []
+        real = os.fork
+
+        def counting():
+            calls.append(os.getpid())
+            return real()
+
+        monkeypatch.setattr(os, "fork", counting)
+        return calls
+
+    @staticmethod
+    def expected_forks(cpus: int, trials: int) -> int:
+        return max(min(cpus, trials // cli.DRAW_MIN) - 1, 0)
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    @pytest.mark.parametrize("trials", [2047, 2048, 2049, 4097, 20000])
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 8])
+    def test_matches_per_trial_loop(self, monkeypatch, forks, cpus, trials, seed):
+        monkeypatch.setattr(bspline, "_usable_cpus", lambda: cpus)
+        got = cmd_verify(*AUDIT, trials, seed)
+        assert rendered(got) == audit_reference(trials, seed)
+        assert len(forks) == self.expected_forks(cpus, trials)
+
+    def test_real_affinity(self, forks):
+        # on one CPU (taskset -c 0) this is the one-process path
+        got = cmd_verify(*AUDIT, 4097, 7)
+        assert rendered(got) == audit_reference(4097, 7)
+        cpus = len(os.sched_getaffinity(0))
+        assert len(forks) == self.expected_forks(cpus, 4097)
+
+    @pytest.mark.parametrize("cpus", [2, 8])
+    def test_1500_trials_stay_in_one_process(self, monkeypatch, forks, cpus):
+        monkeypatch.setattr(bspline, "_usable_cpus", lambda: cpus)
+        got = cmd_verify(*AUDIT, 1500, 0)
+        assert forks == []
+        assert rendered(got) == audit_reference(1500, 0)
+
+    def test_no_fork_beside_another_thread(self, monkeypatch, forks):
+        monkeypatch.setattr(bspline, "_usable_cpus", lambda: 2)
+        release = threading.Event()
+        other = threading.Thread(target=release.wait)
+        other.start()
+        try:
+            got = cmd_verify(*AUDIT, 4097, 7)
+        finally:
+            release.set()
+            other.join(timeout=10)
+        assert not other.is_alive()
+        assert forks == []
+        assert rendered(got) == audit_reference(4097, 7)
+
+    def test_reports_lowest_failing_trial_a_worker_drew(self, monkeypatch, forks):
+        # with two processes the worker draws trials 2048..4096; two forged
+        # failures there, the lower-numbered one in the later-checked stack
+        monkeypatch.setattr(bspline, "_usable_cpus", lambda: 2)
+        trials, seed = 4097, 4
+        counts = np.random.default_rng(seed).integers(1, 41, size=trials).tolist()
+        first = next(i for i in range(2100, trials) if counts[i] > 1)
+        later = next(i for i in range(first + 1, trials) if counts[i] < counts[first])
+        bad = [
+            np.random.default_rng(seed + i + 1).uniform(-1.0, 1.0, size=counts[i])
+            for i in (first, later)
+        ]
+
+        def failing(s, k):
+            rows = s.coeffs.reshape(-1, s.coeffs.shape[-1])
+            for b in bad:
+                if b.size == rows.shape[1] and (rows == b).all(axis=1).any():
+                    raise ValueError("forged failure")
+            return verify_inequality(s, k)
+
+        monkeypatch.setattr(cli, "verify_inequality", failing)
+        with pytest.raises(cli.UsageError, match=f"^trial {first}: forged failure$"):
+            cmd_verify(2, 1, 1.0, trials, seed)
+        assert len(forks) == 1
+
+    @pytest.mark.parametrize("death", ["exit 1", "SIGKILL"])
+    def test_failed_worker_is_redrawn(self, monkeypatch, forks, death):
+        # three processes: trials 0..1364 here, 1365..2730 and 2731..4096 in
+        # workers; the last worker writes wrong bits into its first rows and
+        # then dies, so every one of its rows must come from the redraw
+        monkeypatch.setattr(bspline, "_usable_cpus", lambda: 3)
+        trials, seed = 4097, 7
+        parent = os.getpid()
+        real = np.random.default_rng
+
+        def sabotaged(s):
+            trial = s - seed - 1
+            if os.getpid() != parent and trial >= 2731:
+                if trial == 2731 + 100:
+                    if death == "SIGKILL":
+                        os.kill(os.getpid(), signal.SIGKILL)
+                    raise RuntimeError("worker fails")
+                return real(s + 1)
+            return real(s)
+
+        monkeypatch.setattr(np.random, "default_rng", sabotaged)
+        got = cmd_verify(*AUDIT, trials, seed)
+        assert len(forks) == 2
+        assert rendered(got) == audit_reference(trials, seed)
+
+    def test_no_shared_mapping_draws_in_one_process(self, monkeypatch, forks):
+        monkeypatch.setattr(bspline, "_usable_cpus", lambda: 2)
+
+        def refused(*args):
+            raise OSError("no mapping")
+
+        monkeypatch.setattr(mmap, "mmap", refused)
+        got = cmd_verify(*AUDIT, 4097, 7)
+        assert forks == []
+        assert rendered(got) == audit_reference(4097, 7)
+
+    def test_size_no_memory_can_hold(self, monkeypatch, forks):
+        # the mapping is refused at once, and so is the private buffer; main
+        # turns the MemoryError into exit 2 (TestOutOfMemory)
+        monkeypatch.setattr(bspline, "_usable_cpus", lambda: 8)
+        with pytest.raises(MemoryError):
+            cli._draw_all(1 << 50, 0, [0] * 4096, [1] * 4096)
+        assert forks == []
+
+    @pytest.mark.parametrize("where", ["drawing", "waiting"])
+    def test_interrupt_leaves_no_worker(self, monkeypatch, forks, where):
+        monkeypatch.setattr(bspline, "_usable_cpus", lambda: 3)
+        parent = os.getpid()
+        real_rng, real_waitpid = np.random.default_rng, os.waitpid
+
+        def interrupted_rng(s):
+            if os.getpid() == parent and s == 500:
+                raise KeyboardInterrupt
+            return real_rng(s)
+
+        def interrupted_waitpid(pid, options):
+            if options == 0 and not interrupted_waitpid.done:
+                interrupted_waitpid.done = True
+                raise KeyboardInterrupt
+            return real_waitpid(pid, options)
+
+        interrupted_waitpid.done = False
+        if where == "drawing":
+            monkeypatch.setattr(np.random, "default_rng", interrupted_rng)
+        else:
+            monkeypatch.setattr(os, "waitpid", interrupted_waitpid)
+        with pytest.raises(KeyboardInterrupt):
+            cmd_verify(*AUDIT, 4097, 0)
+        assert len(forks) == 2
 
 
 def test_layers_the_bench_tracer_wraps_are_reached(monkeypatch):

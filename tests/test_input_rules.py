@@ -13,14 +13,13 @@ import math
 import numpy as np
 import pytest
 
+from bspline_extras import bspline_derivative, integer_samples
 from splineineq import (
     CardinalSpline,
-    bspline_derivative,
     derivative_coeffs,
     eval_bspline,
     favard,
     gram_autocorrelation,
-    integer_samples,
     random_spline,
     ratio_L,
     sharp_constant,
