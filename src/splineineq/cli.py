@@ -315,12 +315,13 @@ def cmd_symbol(m: int, points: int, rtol: float = 1e-12) -> OutputRecord:
 
 
 def _first_failure(
-    m: int, k: int, spacing: float, stacks: dict, counts: list, slots: list
+    m: int, k: int, spacing: float, buf, starts: list, counts: list
 ) -> str:
     """The error of the lowest-numbered failing trial, as it fails alone."""
-    for i, (count, r) in enumerate(zip(counts, slots)):
+    for i, (start, count) in enumerate(zip(starts, counts)):
         try:
-            s = CardinalSpline(degree=m, knot_spacing=spacing, coeffs=stacks[count][r])
+            row = buf[start : start + count]
+            s = CardinalSpline(degree=m, knot_spacing=spacing, coeffs=row)
             verify_inequality(s, k)
         except ValueError as exc:
             return f"trial {i}: {exc}"
@@ -428,14 +429,16 @@ def cmd_verify(
 
     Trial i draws its coefficients from ``default_rng(seed + i + 1)``:
     ``random(out=...)`` writes its unit doubles u straight into its row
-    of a (batch, n) stack, and the stacks then become ``2u - 1`` in
-    place, the bits ``uniform(-1.0, 1.0)`` gives (``2u`` is exact, so
-    ``-1 + 2u`` rounds once either way).  The trials of one coefficient
-    count, in trial order, form one stack for the whole run, so there
-    are at most 40 stacked checks whatever the number of trials, and
-    each gives every trial the floats it would get alone.  The stacks
-    are views of one flat buffer; on Linux, with enough trials, forked
-    workers seed and draw contiguous ranges of trials into it across the
+    ``buf[starts[i] : starts[i] + counts[i]]`` of one flat buffer, which
+    then becomes ``2u - 1`` in place, the bits ``uniform(-1.0, 1.0)``
+    gives (``2u`` is exact, so ``-1 + 2u`` rounds once either way).  One
+    stable argsort of the counts lays the rows end to end by count, each
+    count in trial order, and one cumsum of the sorted counts gives the
+    starts.  So the rows of one count are one contiguous (batch, count)
+    slice of the buffer, checked as one stack: at most 40 stacked checks
+    whatever the number of trials, each giving every trial the floats it
+    would get alone.  On Linux, with enough trials, forked workers seed
+    and draw contiguous ranges of trials into the buffer across the
     usable CPUs (see _draw_all), with the same bits.  An error names the
     lowest-numbered failing trial.
     """
@@ -444,39 +447,32 @@ def cmd_verify(
         raise UsageError("need at least one trial")
     master = np.random.default_rng(seed)
     counts = master.integers(1, 41, size=trials)
-    sizes = np.bincount(counts)
-    # each count's stack in the flat buffer: its floats and where they start
-    lengths = sizes * np.arange(len(sizes))
-    bases = np.cumsum(lengths) - lengths
-    # the trials sorted by count, each count in trial order; slots[i] is
-    # trial i's row in its stack
+    # the trials sorted by count, each count in trial order, laid end to end
     order = np.argsort(counts, kind="stable")
-    firsts = np.cumsum(sizes) - sizes
-    slots = np.empty(trials, dtype=np.intp)
-    slots[order] = np.arange(trials) - np.repeat(firsts, sizes)
-    starts = bases[counts] + slots * counts
-    counts, slots = counts.tolist(), slots.tolist()
-    buf = _draw_all(int(lengths.sum()), seed, starts.tolist(), counts)
+    ranked = counts[order]
+    ends = np.cumsum(ranked)
+    starts = np.empty(trials, dtype=np.int64)
+    starts[order] = ends - ranked
+    counts, starts = counts.tolist(), starts.tolist()
+    buf = _draw_all(int(ends[-1]), seed, starts, counts)
     buf *= 2.0
     buf -= 1.0
-    stacks = {
-        c: buf[bases[c] : bases[c] + b * c].reshape(b, c)
-        for c, b in enumerate(sizes.tolist())
-        if b
-    }
+    # each count's trials are one run of order, their rows one slice of buf
+    bounds = [0, *(np.flatnonzero(np.diff(ranked)) + 1).tolist(), trials]
     ratio = np.empty(trials)
     margin = np.empty(trials)
     satisfied = np.empty(trials, dtype=bool)
     try:
-        for count, stack in stacks.items():
-            idx = order[firsts[count] : firsts[count] + len(stack)]
+        for lo, hi in zip(bounds, bounds[1:]):
+            idx = order[lo:hi]
+            stack = buf[ends[lo] - ranked[lo] : ends[hi - 1]].reshape(hi - lo, -1)
             s = CardinalSpline(degree=m, knot_spacing=spacing, coeffs=stack)
             report = verify_inequality(s, k)
             ratio[idx] = report.ratio
             margin[idx] = report.margin
             satisfied[idx] = report.satisfied
     except ValueError:  # the norms overflow or underflow to zero
-        raise UsageError(_first_failure(m, k, spacing, stacks, counts, slots)) from None
+        raise UsageError(_first_failure(m, k, spacing, buf, starts, counts)) from None
     ratios = ratio.tolist()
     margins = margin.tolist()
     oks = satisfied.tolist()
@@ -594,8 +590,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--format", choices=("csv", "json-lines"), default="json-lines"
     )
     shared.add_argument("--out", default=None, help="write output to this file")
-    shared.add_argument("--rtol", type=float, default=1e-12)
-    shared.add_argument("--seed", type=int, default=0)
 
     parser = argparse.ArgumentParser(
         prog="splineineq",
@@ -608,16 +602,19 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-degree", type=int, required=True)
     p.add_argument("--max-order", type=int, default=None)
     p.add_argument("--spacing", type=float, default=1.0)
+    p.add_argument("--rtol", type=float, default=1e-12)
 
     p = sub.add_parser("symbol", parents=[shared])
     p.add_argument("--degree", type=int, required=True)
     p.add_argument("--points", type=int, default=257)
+    p.add_argument("--rtol", type=float, default=1e-12)
 
     p = sub.add_parser("verify", parents=[shared])
     p.add_argument("--degree", type=int, required=True)
     p.add_argument("--order", type=int, required=True)
     p.add_argument("--spacing", type=float, default=1.0)
     p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("extremal", parents=[shared])
     p.add_argument("--degree", type=int, required=True)
@@ -662,7 +659,11 @@ def main(argv=None) -> int:
             record = cmd_roots(args.max_order)
         else:  # pragma: no cover - argparse enforces the choices
             raise UsageError(f"unknown subcommand {args.subcommand}")
-        _emit(record, args.format, args.out)
+        try:
+            _emit(record, args.format, args.out)
+        except OSError as exc:  # a path that cannot be opened or written
+            target = args.out or "stdout"
+            raise UsageError(f"cannot write {target}: {exc.strerror or exc}") from None
         return status
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

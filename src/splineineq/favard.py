@@ -49,29 +49,23 @@ def favard(m: int, rtol: float = 1e-12) -> FavardConstant:
 
     p = float(m + 1)
     pref = 4.0 / _PI
-    if m % 2 == 1:
-        # positive series: sum (2l+1)^(-p)
-        terms = 32
-        while True:
-            partial = math.fsum((2.0 * l + 1.0) ** -p for l in reversed(range(terms)))
-            tail = power_tail(2.0 * terms + 1.0, 2.0, p)
-            bound = power_tail_bound(2.0 * terms + 1.0, 2.0, p)
-            value = pref * (partial + tail)
-            err = pref * bound + ROUNDING_FLOOR * value
-            if err <= rtol * value:
-                return FavardConstant(
-                    index=m, value=value, series_terms=terms, tail_bound=err
-                )
-            terms = _double_terms(terms, rtol)
-    # alternating series: sum (-1)^l (2l+1)^(-p)
-    terms = 8
+    # odd m: the positive series sum (2l+1)^(-p); even m: the alternating
+    # series sum (-1)^l (2l+1)^(-p)
+    odd = m % 2 == 1
+    sign = 1.0 if odd else -1.0
+    terms = 32 if odd else 8
     while True:
         partial = math.fsum(
-            (-1.0) ** l * (2.0 * l + 1.0) ** -p for l in reversed(range(terms))
+            sign**l * (2.0 * l + 1.0) ** -p for l in reversed(range(terms))
         )
-        omitted = (2.0 * terms + 1.0) ** -p
-        value = pref * partial
-        err = pref * omitted + ROUNDING_FLOOR * abs(value)
+        first = 2.0 * terms + 1.0
+        if odd:
+            tail = power_tail(first, 2.0, p)
+            bound = power_tail_bound(first, 2.0, p)
+        else:  # the partial sums bracket the limit
+            tail, bound = 0.0, first**-p
+        value = pref * (partial + tail)
+        err = pref * bound + ROUNDING_FLOOR * abs(value)
         if err <= rtol * abs(value):
             return FavardConstant(
                 index=m, value=value, series_terms=terms, tail_bound=err

@@ -149,10 +149,7 @@ def _band_dots(c: Array, b: int) -> list:
         [p[..., 0, 0] for p in heads] + [np.stack(tails, -1)[..., None, :]], axis=-2
     )
     by_band = np.swapaxes(parts, -1, -2).reshape(-1, nfull + 1)
-    try:
-        sums = [math.fsum(p.tolist()) for p in by_band]  # one band of one row each
-    except (OverflowError, ValueError):  # past the float range, or inf - inf
-        sums = [_fsum_or_nan(p) for p in by_band]
+    sums = [_fsum_or_nan(p) for p in by_band]  # one band of one row each
     return sums if c.ndim == 1 else list(np.reshape(sums, (-1, b)).T)
 
 
@@ -160,7 +157,7 @@ def _fsum_or_nan(p: Array) -> float:
     """``math.fsum`` of p, or NaN where its exact sum has no float."""
     try:
         return math.fsum(p.tolist())
-    except (OverflowError, ValueError):
+    except (OverflowError, ValueError):  # past the float range, or inf - inf
         return math.nan
 
 

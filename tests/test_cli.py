@@ -442,6 +442,68 @@ class TestMain:
             main([])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("where", ["missing directory", "directory"])
+    def test_unwritable_out_is_usage_error(self, capsys, tmp_path, where):
+        out = tmp_path / "no" / "x.json" if where == "missing directory" else tmp_path
+        assert main(["roots", "--max-order", "5", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith(f"error: cannot write {out}: ")
+
+
+class TestFlags:
+    """Each subcommand accepts only the flags it reads."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--degree", "1", "--order", "1", "--rtol", "1e-10"],
+            ["extremal", "--degree", "1", "--rtol", "1e-10"],
+            ["roots", "--max-order", "5", "--rtol", "1e-10"],
+            ["constants", "--max-degree", "1", "--seed", "3"],
+            ["symbol", "--degree", "1", "--seed", "3"],
+            ["extremal", "--degree", "1", "--seed", "3"],
+            ["roots", "--max-order", "5", "--seed", "3"],
+        ],
+        ids=lambda argv: f"{argv[0]} {argv[-2]}",
+    )
+    def test_flag_a_subcommand_does_not_read_exits_two(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize(
+        "argv,key,value",
+        [
+            (["constants", "--max-degree", "1", "--rtol", "1e-10"], "rtol", 1e-10),
+            (["symbol", "--degree", "1", "--points", "3", "--rtol", "1e-10"],
+             "rtol", 1e-10),
+            (["verify", "--degree", "1", "--order", "1", "--trials", "2",
+              "--seed", "3"], "seed", 3),
+        ],
+    )
+    def test_flag_reaches_the_parameters(self, capsys, argv, key, value):
+        assert main(argv) == 0
+        record = parse_record(capsys.readouterr().out, "json-lines")
+        assert record.parameters[key] == value
+
+    def test_readme_examples_run(self, capsys, tmp_path):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        block = readme.split("Examples:\n\n```sh\n", 1)[1].split("```", 1)[0]
+        lines = block.splitlines()
+        assert lines and all(ln.startswith("splineineq ") for ln in lines)
+        for i, line in enumerate(lines):
+            argv = line.split()[1:]
+            if "--out" in argv:
+                at = argv.index("--out") + 1
+                argv[at] = str(tmp_path / argv[at])
+            else:
+                argv += ["--out", str(tmp_path / f"example{i}.out")]
+            assert main(argv) == 0, line
+        assert capsys.readouterr().out == ""
+
 
 # SHA-256 of stdout for fixed command lines, taken before the vectorised
 # lattice route, integer-Horner root isolation and the merged scalar

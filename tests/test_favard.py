@@ -4,6 +4,8 @@ import math
 
 import pytest
 
+from splineineq._series import _check_rtol, _double_terms
+from splineineq._series import power_tail, power_tail_bound
 from splineineq.favard import ROUNDING_FLOOR, FavardConstant, favard
 
 CLOSED = {
@@ -71,3 +73,52 @@ class TestFavard:
         got = favard(3, rtol=1e-15)
         assert got.tail_bound <= 1e-15 * got.value
 
+
+
+def favard_reference(m: int, rtol: float = 1e-12) -> FavardConstant:
+    """favard as two loops, one per parity, kept as an oracle for the one."""
+    if m < 0:
+        raise ValueError("index must be non-negative")
+    _check_rtol(rtol)
+    if m == 0:
+        return FavardConstant(index=0, value=1.0, series_terms=0, tail_bound=0.0)
+
+    p = float(m + 1)
+    pref = 4.0 / math.pi
+    if m % 2 == 1:
+        # positive series: sum (2l+1)^(-p)
+        terms = 32
+        while True:
+            partial = math.fsum((2.0 * l + 1.0) ** -p for l in reversed(range(terms)))
+            tail = power_tail(2.0 * terms + 1.0, 2.0, p)
+            bound = power_tail_bound(2.0 * terms + 1.0, 2.0, p)
+            value = pref * (partial + tail)
+            err = pref * bound + ROUNDING_FLOOR * value
+            if err <= rtol * value:
+                return FavardConstant(
+                    index=m, value=value, series_terms=terms, tail_bound=err
+                )
+            terms = _double_terms(terms, rtol)
+    # alternating series: sum (-1)^l (2l+1)^(-p)
+    terms = 8
+    while True:
+        partial = math.fsum(
+            (-1.0) ** l * (2.0 * l + 1.0) ** -p for l in reversed(range(terms))
+        )
+        omitted = (2.0 * terms + 1.0) ** -p
+        value = pref * partial
+        err = pref * omitted + ROUNDING_FLOOR * abs(value)
+        if err <= rtol * abs(value):
+            return FavardConstant(
+                index=m, value=value, series_terms=terms, tail_bound=err
+            )
+        terms = _double_terms(terms, rtol)
+
+
+@pytest.mark.parametrize("rtol", [1e-6, 1e-10, 1e-12, 1e-13, 1e-14])
+def test_one_loop_matches_two_loop_reference(rtol):
+    for m in range(60):
+        got, want = favard(m, rtol), favard_reference(m, rtol)
+        assert got.value.hex() == want.value.hex(), m
+        assert got.tail_bound.hex() == want.tail_bound.hex(), m
+        assert got.series_terms == want.series_terms, m
