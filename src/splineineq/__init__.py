@@ -24,10 +24,8 @@ from .bspline import (
     spline_eval,
 )
 from .euler_frobenius import (
-    EulerFrobenius,
     RootCountError,
     ef_roots,
-    euler_frobenius,
     representative_roots,
     symbol_via_ef,
 )
@@ -39,14 +37,12 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CardinalSpline",
-    "EulerFrobenius",
     "FavardConstant",
     "InequalityReport",
     "RootCountError",
     "SymbolEval",
     "derivative_coeffs",
     "ef_roots",
-    "euler_frobenius",
     "eval_bspline",
     "extremal_ratio",
     "favard",

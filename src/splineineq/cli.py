@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Every subcommand assembles one OutputRecord (schema_version, command,
-parameters, rows) and emits it as CSV or JSON lines.  Output is
-deterministic byte for byte for a fixed command line, and both formats
-re-parse to the identical structure.
+parameters, rows) and emits it as CSV or JSON lines.  The rows are one
+table: each has the first row's keys in that order.  Output is
+deterministic byte for byte for a fixed command line, and parse_record
+reads either format back to the identical record.
 
 Exit codes: 0 success and all bounds hold, 1 a verified bound was
 violated, 2 usage error.
@@ -68,8 +69,10 @@ def _scalar(v, fmt: str) -> str:
     """Canonical text form of one scalar, shared by both formats.
 
     Only None and strings differ: JSON writes null and quoted strings,
-    CSV an empty cell and the bare string.  A non-finite float has no
-    form in either and raises ValueError.
+    CSV an empty cell and the bare string, or the JSON-quoted one where
+    the bare text would not read back as that string on one line ("5",
+    "true", "" or a line break).  A non-finite float has no form in
+    either and raises ValueError.
     """
     if isinstance(v, float):
         # 17 significant digits round-trip any double; the suffix keeps the
@@ -86,7 +89,10 @@ def _scalar(v, fmt: str) -> str:
         return "true" if v else "false"
     if isinstance(v, (int, np.integer)):
         return str(int(v))
-    return json.dumps(str(v)) if fmt == "json-lines" else str(v)
+    s = str(v)
+    if fmt == "json-lines" or s[:1] == '"' or "\n" in s or _parse_cell(s) is not s:
+        return json.dumps(s)
+    return s
 
 
 _INT_RE = re.compile(r"^[+-]?\d+$")
@@ -94,6 +100,9 @@ _FLOAT_RE = re.compile(r"^[+-]?(\d+\.\d*|\.\d+|\d+)([eE][+-]?\d+)?$")
 
 
 def _parse_cell(s: str):
+    """The scalar a CSV cell or parameter holds: the inverse of _scalar(v, "csv")."""
+    if s[:1] == '"':
+        return json.loads(s)
     if s == "":
         return None
     if s == "true":
@@ -144,60 +153,60 @@ def _column(values: list, fmt: str) -> list[str]:
     return [_scalar(v, fmt) for v in values]
 
 
-def _cells(rows: list, keys, fmt: str) -> list[list[str]]:
-    """The cells of columns ``keys`` of ``rows``, one list per column."""
-    return [_column(list(map(operator.itemgetter(k), rows)), fmt) for k in keys]
-
-
-def _json_lines(rows: list) -> list[str]:
-    """One JSON object per row, one ``%`` template per run of equal keys."""
-    lines = []
-    for keys, run in itertools.groupby(rows, key=tuple):
-        run = list(run)
-        template = "{%s}" % ", ".join(
-            [json.dumps(k).replace("%", "%%") + ": %s" for k in keys]
-        )
-        cells = _cells(run, keys, "json-lines")
-        flat = tuple(itertools.chain.from_iterable(zip(*cells)))
-        lines.append("\n".join([template] * len(run)) % flat)
-    return lines
-
-
-def _chunks(rows: list):
-    return (rows[i : i + RENDER_CHUNK] for i in range(0, len(rows), RENDER_CHUNK))
+def _template(keys) -> str:
+    """The ``%`` template of one JSON object with these keys in this order."""
+    fields = [json.dumps(k).replace("%", "%%") + ": %s" for k in keys]
+    return "{" + ", ".join(fields) + "}"
 
 
 def render_record(record: OutputRecord, fmt: str) -> str:
-    """The record as text, rendered by column in chunks of RENDER_CHUNK rows."""
+    """The record as text, rendered by column in chunks of RENDER_CHUNK rows.
+
+    The rows are one table whose columns are the first row's keys in
+    that order; a row with other keys (a missing, an extra or a
+    reordered one) raises ValueError.  Each chunk builds each column's
+    cells once and writes them as JSON lines from one row template or
+    as CSV rows.
+    """
+    if fmt not in ("csv", "json-lines"):
+        raise UsageError(f"unknown format: {fmt}")
+    rows, params = record.rows, record.parameters
+    keys = tuple(rows[0]) if rows else ()
+    buf = io.StringIO()
     if fmt == "json-lines":
-        [params] = _json_lines([record.parameters])
-        head = (
+        values = tuple(_scalar(v, fmt) for v in params.values())
+        buf.write(
             f'{{"schema_version": {_scalar(record.schema_version, fmt)}, '
             f'"command": {_scalar(record.command, fmt)}, '
-            f'"parameters": {params}}}'
+            f'"parameters": {_template(params) % values}}}\n'
         )
-        lines = [head]
-        for chunk in _chunks(record.rows):
-            lines += _json_lines(chunk)
-        return "\n".join(lines) + "\n"
-    if fmt == "csv":
-        buf = io.StringIO()
+        line = _template(keys) + "\n"
+    else:
         buf.write(f"# schema_version={record.schema_version}\n")
         buf.write(f"# command={record.command}\n")
-        for k, v in record.parameters.items():
+        for k, v in params.items():
             buf.write(f"# parameter:{k}={_scalar(v, fmt)}\n")
         writer = csv.writer(buf, lineterminator="\n")
-        if record.rows:
-            columns = list(record.rows[0].keys())
-            writer.writerow(columns)
-            for chunk in _chunks(record.rows):
-                writer.writerows(zip(*_cells(chunk, columns, fmt)))
-        return buf.getvalue()
-    raise UsageError(f"unknown format: {fmt}")
+        if rows:
+            writer.writerow(keys)
+    for lo in range(0, len(rows), RENDER_CHUNK):
+        chunk = rows[lo : lo + RENDER_CHUNK]
+        if not all(map(keys.__eq__, map(tuple, chunk))):
+            i = next(i for i, row in enumerate(rows) if tuple(row) != keys)
+            raise ValueError(
+                f"row {i} has the keys {list(rows[i])}; row 0 has {list(keys)}"
+            )
+        columns = [_column(list(map(operator.itemgetter(k), chunk)), fmt) for k in keys]
+        if fmt == "csv":
+            writer.writerows(zip(*columns))
+        else:
+            flat = tuple(itertools.chain.from_iterable(zip(*columns)))
+            buf.write((line * len(chunk)) % flat)
+    return buf.getvalue()
 
 
 def parse_record(text: str, fmt: str) -> OutputRecord:
-    """Inverse of render_record; round-trips every record this tool emits."""
+    """Inverse of render_record in both formats."""
     if fmt == "json-lines":
         lines = [ln for ln in text.splitlines() if ln.strip()]
         head = json.loads(lines[0])
@@ -209,29 +218,23 @@ def parse_record(text: str, fmt: str) -> OutputRecord:
             schema_version=head["schema_version"],
         )
     if fmt == "csv":
-        schema = ""
-        command = ""
-        parameters: dict = {}
-        body: list[str] = []
-        for ln in text.splitlines():
-            if ln.startswith("# "):
-                key, _, val = ln[2:].partition("=")
-                if key == "schema_version":
-                    schema = val
-                elif key == "command":
-                    command = val
-                elif key.startswith("parameter:"):
-                    parameters[key[len("parameter:") :]] = _parse_cell(val)
-            elif ln.strip():
-                body.append(ln)
-        rows = []
-        if body:
-            reader = csv.reader(body)
-            columns = next(reader)
-            for raw in reader:
-                rows.append({c: _parse_cell(v) for c, v in zip(columns, raw)})
+        # the leading "# key=value" lines, then the table
+        head = re.match(r"(# [^\n]*\n)*", text).group()
+        meta = dict(ln[2:].partition("=")[::2] for ln in head.split("\n")[:-1])
+        columns, *body = [
+            raw for raw in csv.reader(io.StringIO(text[len(head) :], newline="")) if raw
+        ] or [[]]
         return OutputRecord(
-            command=command, parameters=parameters, rows=rows, schema_version=schema
+            command=meta["command"],
+            parameters={
+                k[len("parameter:") :]: _parse_cell(v)
+                for k, v in meta.items()
+                if k.startswith("parameter:")
+            },
+            rows=[
+                dict(zip(columns, map(_parse_cell, raw), strict=True)) for raw in body
+            ],
+            schema_version=meta["schema_version"],
         )
     raise UsageError(f"unknown format: {fmt}")
 
@@ -445,6 +448,8 @@ def cmd_verify(
     constant = _usage(sharp_constant, m, k, spacing)
     if trials < 1:
         raise UsageError("need at least one trial")
+    if seed < 0:
+        raise UsageError("seed must be non-negative")
     master = np.random.default_rng(seed)
     counts = master.integers(1, 41, size=trials)
     # the trials sorted by count, each count in trial order, laid end to end

@@ -6,8 +6,6 @@ symbol."""
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -18,12 +16,9 @@ from .bspline import _check_degree, _prepare, _scaled_integer_samples
 Array = npt.NDArray[np.float64]
 
 __all__ = [
-    "EulerFrobenius",
     "RootCountError",
-    "ef_coefficients",
     "ef_coefficients_exact",
     "ef_roots",
-    "euler_frobenius",
     "representative_roots",
     "symbol_via_ef",
 ]
@@ -33,30 +28,11 @@ class RootCountError(RuntimeError):
     """Raised when sign changes on the search grid miss some roots."""
 
 
-@dataclass(frozen=True)
-class EulerFrobenius:
-    """Degree n-1 polynomial with coefficients n! * N_n(j), j = 1..n.
-
-    ``coeffs[j]`` multiplies z^j (ascending powers).  The coefficient
-    sequence is palindromic and the polynomial is monic; ``roots`` are
-    ascending (most negative first) and satisfy roots[i] * roots[-1-i] = 1.
-    """
-
-    degree: int
-    coeffs: Array
-    roots: Array
-
-
 def ef_coefficients_exact(n: int) -> tuple[int, ...]:
     """Exact integer coefficients, ascending powers, length n."""
     if n < 1:
         raise ValueError("order must be at least 1")
     return _scaled_integer_samples(n)
-
-
-def ef_coefficients(n: int) -> Array:
-    """Coefficients as floats (exact for every n where they fit in 53 bits)."""
-    return np.array(ef_coefficients_exact(n), dtype=np.float64)
 
 
 def _exact_sign(coeffs: tuple[int, ...], x: float) -> int:
@@ -132,14 +108,6 @@ def ef_roots(n: int) -> Array:
     if n < 1:
         raise ValueError("order must be at least 1")
     return np.array(_roots_cached(n), dtype=np.float64)
-
-
-def euler_frobenius(n: int) -> EulerFrobenius:
-    coeffs = ef_coefficients(n)
-    roots = ef_roots(n)
-    coeffs.setflags(write=False)
-    roots.setflags(write=False)
-    return EulerFrobenius(degree=n - 1, coeffs=coeffs, roots=roots)
 
 
 def representative_roots(n: int) -> Array:

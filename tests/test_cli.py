@@ -219,7 +219,7 @@ class TestColumn:
 
 
 def _audit_like(n):
-    """n trial rows like verify's plus its summary row, with odd rows mixed in."""
+    """n trial rows like verify's plus its summary row."""
     rows = [
         {"kind": "trial", "trial": i, "coeff_count": 1 + i % 40,
          "ratio": 1.0 / (i + 3), "constant": 27.5, "margin": -float(i) or 0.0,
@@ -228,13 +228,6 @@ def _audit_like(n):
     ]
     rows.append({"kind": "summary", "trial": None, "coeff_count": None,
                  "ratio": 0.5, "constant": 27.5, "margin": -0.0, "satisfied": False})
-    if n > 100:
-        # other key sets between runs of the common one; CSV keeps the
-        # columns of the first row and drops the extra key
-        rows[50] = dict(rows[50], **{"note 50%": 'a "b", c%s'})
-        rows[51] = {"kind": "odd", "trial": 51, "coeff_count": 2, "ratio": 2.0,
-                    "constant": 27.5, "margin": 1e17, "satisfied": True}
-        rows[51] = dict(reversed(list(rows[51].items())))
     return OutputRecord(
         command="verify",
         parameters={"degree": 6, "spacing": 0.5, "rate %": "100%", "none": None},
@@ -273,6 +266,43 @@ class TestColumnRenderer:
         record = cmd_symbol(3, 4100)
         for fmt in ("csv", "json-lines"):
             assert render_record(record, fmt) == render_record_reference(record, fmt)
+
+
+def _other_keys(row: dict, how: str) -> dict:
+    """row with a missing, an extra or its keys in another order."""
+    if how == "missing":
+        return {k: v for k, v in row.items() if k != "margin"}
+    if how == "extra":
+        return dict(row, **{"note 50%": 'a "b", c%s'})
+    odd = {"kind": "odd", "trial": 51, "coeff_count": 2, "ratio": 2.0,
+           "constant": 27.5, "margin": 1e17, "satisfied": True}
+    return dict(reversed(list(odd.items())))
+
+
+class TestOneTable:
+    """A record is one table: every row has the first row's keys in order."""
+
+    @pytest.mark.parametrize("how", ["missing", "extra", "reordered"])
+    @pytest.mark.parametrize("where", [1, 50, 51, 2051, 4097])
+    @pytest.mark.parametrize("fmt", ["csv", "json-lines"])
+    def test_row_with_other_keys_raises(self, how, where, fmt):
+        record = _audit_like(4097)  # row 4097 is the summary, in the third chunk
+        record.rows[where] = _other_keys(record.rows[where], how)
+        with pytest.raises(ValueError, match=f"^row {where} has the keys "):
+            render_record(record, fmt)
+
+    @pytest.mark.parametrize("line", ["3,2.5", "3,2.5,3.5,0.5,true,x", '""'])
+    def test_csv_row_of_another_width_raises_on_parse(self, line):
+        text = render_record(cmd_extremal(1, [0, 1]), "csv") + line + "\n"
+        with pytest.raises(ValueError):
+            parse_record(text, "csv")
+
+    @pytest.mark.parametrize("fmt", ["csv", "json-lines"])
+    def test_other_first_row_names_row_one(self, fmt):
+        record = _audit_like(3)
+        record.rows[0] = _other_keys(record.rows[0], "extra")
+        with pytest.raises(ValueError, match="^row 1 has the keys "):
+            render_record(record, fmt)
 
 
 class TestInPlaceDraw:
@@ -442,6 +472,14 @@ class TestMain:
             main([])
         assert exc.value.code == 2
 
+    def test_negative_seed_is_usage_error(self, capsys):
+        argv = ["verify", "--degree", "2", "--order", "1", "--seed", "-1",
+                "--trials", "3"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: seed must be non-negative\n"
+
     @pytest.mark.parametrize("where", ["missing directory", "directory"])
     def test_unwritable_out_is_usage_error(self, capsys, tmp_path, where):
         out = tmp_path / "no" / "x.json" if where == "missing directory" else tmp_path
@@ -450,6 +488,12 @@ class TestMain:
         assert captured.out == ""
         [line] = captured.err.splitlines()
         assert line.startswith(f"error: cannot write {out}: ")
+
+
+def readme_examples() -> list[str]:
+    """The command lines of README's Examples block."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    return readme.split("Examples:\n\n```sh\n", 1)[1].split("```", 1)[0].splitlines()
 
 
 class TestFlags:
@@ -490,9 +534,7 @@ class TestFlags:
         assert record.parameters[key] == value
 
     def test_readme_examples_run(self, capsys, tmp_path):
-        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
-        block = readme.split("Examples:\n\n```sh\n", 1)[1].split("```", 1)[0]
-        lines = block.splitlines()
+        lines = readme_examples()
         assert lines and all(ln.startswith("splineineq ") for ln in lines)
         for i, line in enumerate(lines):
             argv = line.split()[1:]
@@ -570,6 +612,86 @@ class TestGoldenOutput:
         out = capsys.readouterr().out
         assert code == (2 if "--degree 0" in args else 0)
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def typed(record: OutputRecord) -> tuple:
+    """The record with each scalar tagged by its type, so 1, 1.0 and True differ."""
+
+    def tag(d: dict) -> list:
+        return [
+            (k, type(v.item() if isinstance(v, np.generic) else v).__name__, v)
+            for k, v in d.items()
+        ]
+
+    return (record.schema_version, record.command, tag(record.parameters),
+            [tag(row) for row in record.rows])
+
+
+def _stdout_argv(line: str) -> list[str]:
+    """The arguments of a command line, less any --format or --out."""
+    argv = line.split()
+    if argv[0] == "splineineq":
+        argv = argv[1:]
+    for flag in ("--format", "--out"):
+        if flag in argv:
+            at = argv.index(flag)
+            del argv[at : at + 2]
+    return argv
+
+
+CODEC_LINES = sorted({args for args, _, _ in GOLDEN}) + readme_examples() + [
+    # a single length: n_list is the string "0" or "5", which CSV quotes
+    "extremal --degree 2 --n 0",
+    "extremal --degree 2 --n 5",
+]
+
+
+class TestCodec:
+    """parse_record inverts render_record in both formats."""
+
+    @pytest.mark.parametrize("line", CODEC_LINES)
+    def test_both_formats_parse_to_the_record_built(self, monkeypatch, capsys, line):
+        built = []
+        render = cli.render_record
+
+        def capture(record, fmt):
+            built.append(record)
+            return render(record, fmt)
+
+        monkeypatch.setattr(cli, "render_record", capture)
+        argv = _stdout_argv(line)
+        for fmt in ("csv", "json-lines"):
+            assert main(argv + ["--format", fmt]) == (2 if "--degree 0" in line else 0)
+            back = parse_record(capsys.readouterr().out, fmt)
+            assert typed(back) == typed(built[-1]), fmt
+        assert typed(built[0]) == typed(built[1])
+
+    @pytest.mark.parametrize(
+        "text", ["5", "-7", "0.5", "1e5", "true", "false", "", '"', '"q"', "a\nb"]
+    )
+    def test_csv_quotes_text_that_reads_as_another_type(self, text):
+        assert cli._scalar(text, "csv") == json.dumps(text)
+        record = OutputRecord(command="t", parameters={"p": text}, rows=[{"v": text}])
+        assert typed(parse_record(render_record(record, "csv"), "csv")) == typed(record)
+
+    @pytest.mark.parametrize(
+        "text", ["trial", "summary", "1,5", "inf", "nan", " 5", "a b", "x\"y"]
+    )
+    def test_csv_leaves_other_text_bare(self, text):
+        assert cli._scalar(text, "csv") == text
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.dictionaries(st.sampled_from(["a", "b %", "c"]), SCALARS),
+        st.lists(st.tuples(SCALARS, SCALARS), max_size=5),
+    )
+    def test_any_scalars_round_trip(self, parameters, pairs):
+        record = OutputRecord(
+            command="t", parameters=parameters,
+            rows=[{"x": x, "y,z": y} for x, y in pairs],
+        )
+        for fmt in ("csv", "json-lines"):
+            assert typed(parse_record(render_record(record, fmt), fmt)) == typed(record)
 
 
 class TestRtolValidation:

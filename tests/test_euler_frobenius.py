@@ -11,10 +11,8 @@ from numpy.testing import assert_allclose
 from splineineq.cli import main
 from splineineq.euler_frobenius import (
     _exact_sign,
-    ef_coefficients,
     ef_coefficients_exact,
     ef_roots,
-    euler_frobenius,
     representative_roots,
     symbol_via_ef,
 )
@@ -48,9 +46,6 @@ class TestCoefficients:
     def test_sum_is_factorial(self, n):
         # partition of unity evaluated at an integer point
         assert sum(ef_coefficients_exact(n)) == math.factorial(n)
-
-    def test_float_view(self):
-        assert_allclose(ef_coefficients(5), [1, 26, 66, 26, 1])
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
@@ -91,14 +86,6 @@ class TestRoots:
             val = math.fsum(c * x**j for j, c in enumerate(coeffs))
             scale = math.fsum(abs(c) * abs(x) ** j for j, c in enumerate(coeffs))
             assert abs(val) <= 1e-13 * scale
-
-    def test_dataclass_bundle(self):
-        ef = euler_frobenius(5)
-        assert ef.degree == 4
-        assert ef.coeffs.shape == (5,)
-        assert ef.roots.shape == (4,)
-        with pytest.raises(ValueError):
-            ef.roots[0] = 0.0
 
 
 class TestRepresentatives:
