@@ -1,10 +1,9 @@
 """Command-line front end.
 
 Every subcommand assembles one OutputRecord (schema_version, command,
-parameters, rows) and emits it as CSV or JSON lines.  The rows are one
-table: each has the first row's keys in that order.  Output is
-deterministic byte for byte for a fixed command line, and parse_record
-reads either format back to the identical record.
+parameters and a table held as columns) and emits it as CSV or JSON
+lines.  Output is deterministic byte for byte for a fixed command line,
+and parse_record reads either format back to the identical record.
 
 Exit codes: 0 success and all bounds hold, 1 a verified bound was
 violated, 2 usage error.
@@ -14,11 +13,11 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import itertools
 import json
 import math
-import operator
 import os
 import re
 import sys
@@ -30,7 +29,8 @@ import numpy as np
 from . import bspline
 from .bernstein import extremal_ratio, sharp_constant, verify_inequality
 from .bspline import CardinalSpline, _check_degree, _check_spacing
-from .euler_frobenius import ef_roots, representative_roots, symbol_via_ef
+from .euler_frobenius import _check_ef_order, ef_roots, representative_roots
+from .euler_frobenius import symbol_via_ef
 from .favard import favard
 from .symbol import ratio_L, symbol_fourier, symbol_lattice
 
@@ -56,10 +56,23 @@ class UsageError(Exception):
 
 @dataclass
 class OutputRecord:
+    """One command's header and its table, held as columns.
+
+    ``columns`` maps each column name, in order, to the list of its
+    cells, one per row; every list has the same length.  ``rows`` is a
+    read-only view of the same table as one dict per row, built on its
+    first read, for row-wise readers.
+    """
+
     command: str
     parameters: dict
-    rows: list
+    columns: dict
     schema_version: str = field(default=SCHEMA_VERSION)
+
+    @functools.cached_property
+    def rows(self) -> tuple:
+        cols = self.columns
+        return tuple(dict(zip(cols, row)) for row in zip(*cols.values(), strict=True))
 
 
 # -- serialization ---------------------------------------------------------
@@ -162,16 +175,17 @@ def _template(keys) -> str:
 def render_record(record: OutputRecord, fmt: str) -> str:
     """The record as text, rendered by column in chunks of RENDER_CHUNK rows.
 
-    The rows are one table whose columns are the first row's keys in
-    that order; a row with other keys (a missing, an extra or a
-    reordered one) raises ValueError.  Each chunk builds each column's
-    cells once and writes them as JSON lines from one row template or
-    as CSV rows.
+    Each chunk slices every column once, renders its cells and writes
+    them as JSON lines from one row template or as CSV rows.  A column
+    whose length is not the first column's raises ValueError.
     """
     if fmt not in ("csv", "json-lines"):
         raise UsageError(f"unknown format: {fmt}")
-    rows, params = record.rows, record.parameters
-    keys = tuple(rows[0]) if rows else ()
+    columns, params = record.columns, record.parameters
+    lengths = {k: len(cells) for k, cells in columns.items()}
+    if len(set(lengths.values())) > 1:
+        raise ValueError(f"the columns differ in length: {lengths}")
+    keys, n = tuple(columns), max(lengths.values(), default=0)
     buf = io.StringIO()
     if fmt == "json-lines":
         values = tuple(_scalar(v, fmt) for v in params.values())
@@ -187,56 +201,59 @@ def render_record(record: OutputRecord, fmt: str) -> str:
         for k, v in params.items():
             buf.write(f"# parameter:{k}={_scalar(v, fmt)}\n")
         writer = csv.writer(buf, lineterminator="\n")
-        if rows:
+        if n:
             writer.writerow(keys)
-    for lo in range(0, len(rows), RENDER_CHUNK):
-        chunk = rows[lo : lo + RENDER_CHUNK]
-        if not all(map(keys.__eq__, map(tuple, chunk))):
-            i = next(i for i, row in enumerate(rows) if tuple(row) != keys)
-            raise ValueError(
-                f"row {i} has the keys {list(rows[i])}; row 0 has {list(keys)}"
-            )
-        columns = [_column(list(map(operator.itemgetter(k), chunk)), fmt) for k in keys]
+    for lo in range(0, n, RENDER_CHUNK):
+        cells = [_column(col[lo : lo + RENDER_CHUNK], fmt) for col in columns.values()]
         if fmt == "csv":
-            writer.writerows(zip(*columns))
+            writer.writerows(zip(*cells))
         else:
-            flat = tuple(itertools.chain.from_iterable(zip(*columns)))
-            buf.write((line * len(chunk)) % flat)
+            flat = tuple(itertools.chain.from_iterable(zip(*cells)))
+            buf.write((line * len(cells[0])) % flat)
     return buf.getvalue()
 
 
 def parse_record(text: str, fmt: str) -> OutputRecord:
-    """Inverse of render_record in both formats."""
-    if fmt == "json-lines":
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        head = json.loads(lines[0])
-        rows = [json.loads(ln) for ln in lines[1:]]
+    """Inverse of render_record in both formats.
+
+    Text that is not a record raises ValueError: empty text, a header
+    without command, parameters or schema_version, a CSV table whose rows
+    are not all as wide as its header, or a JSON row whose keys are not
+    the first row's in that order.
+    """
+    if fmt not in ("csv", "json-lines"):
+        raise UsageError(f"unknown format: {fmt}")
+    try:
+        if fmt == "json-lines":
+            lines = [ln for ln in text.splitlines() if ln.strip()]
+            head = json.loads(lines[0])
+            params = head["parameters"]
+            rows = [json.loads(ln) for ln in lines[1:]]
+            keys = list(rows[0]) if rows else []
+            for i, row in enumerate(rows):
+                if list(row) != keys:
+                    raise ValueError(f"row {i} has the keys {list(row)}, not {keys}")
+            table = zip(*(row.values() for row in rows))
+        else:
+            # the leading "# key=value" lines, then the table
+            lead = re.match(r"(# [^\n]*\n)*", text).group()
+            head = dict(ln[2:].partition("=")[::2] for ln in lead.split("\n")[:-1])
+            params = {
+                k[len("parameter:") :]: _parse_cell(v)
+                for k, v in head.items()
+                if k.startswith("parameter:")
+            }
+            reader = csv.reader(io.StringIO(text[len(lead) :], newline=""))
+            keys, *body = [raw for raw in reader if raw] or [[]]
+            table = (map(_parse_cell, cells) for cells in zip(*body, strict=True))
         return OutputRecord(
             command=head["command"],
-            parameters=head["parameters"],
-            rows=rows,
+            parameters=params,
+            columns=dict(zip(keys, map(list, table), strict=True)),
             schema_version=head["schema_version"],
         )
-    if fmt == "csv":
-        # the leading "# key=value" lines, then the table
-        head = re.match(r"(# [^\n]*\n)*", text).group()
-        meta = dict(ln[2:].partition("=")[::2] for ln in head.split("\n")[:-1])
-        columns, *body = [
-            raw for raw in csv.reader(io.StringIO(text[len(head) :], newline="")) if raw
-        ] or [[]]
-        return OutputRecord(
-            command=meta["command"],
-            parameters={
-                k[len("parameter:") :]: _parse_cell(v)
-                for k, v in meta.items()
-                if k.startswith("parameter:")
-            },
-            rows=[
-                dict(zip(columns, map(_parse_cell, raw), strict=True)) for raw in body
-            ],
-            schema_version=meta["schema_version"],
-        )
-    raise UsageError(f"unknown format: {fmt}")
+    except (AttributeError, LookupError, TypeError, csv.Error) as exc:
+        raise ValueError(f"not a {fmt} record: {exc!r}") from None
 
 
 # -- subcommands -----------------------------------------------------------
@@ -250,6 +267,11 @@ def _usage(fn, *args):
         raise UsageError(str(exc)) from None
 
 
+def _transposed(keys: tuple, rows: list) -> dict:
+    """The columns ``keys`` of a table given as row tuples."""
+    return dict(zip(keys, map(list, zip(*rows))))
+
+
 def cmd_constants(
     m_max: int, k_max: int, spacing: float, rtol: float = 1e-12
 ) -> OutputRecord:
@@ -257,28 +279,23 @@ def cmd_constants(
     if m_max < 0 or k_max < 0:
         raise UsageError("degree and order bounds must be non-negative")
     _usage(_check_spacing, spacing)
-    if 1.0 / spacing == math.inf:
+    h = 1.0 / spacing
+    if h == math.inf:
         raise UsageError(f"h = 1/spacing overflows at spacing {spacing!r}")
     rows = []
     for m in range(m_max + 1):
         for k in range(min(m, k_max) + 1):
-            num_idx = 2 * (m - k) + 1
-            den_idx = 2 * m + 1
-            rows.append(
-                {
-                    "m": m,
-                    "k": k,
-                    "delta": spacing,
-                    "h": 1.0 / spacing,
-                    "constant": _usage(sharp_constant, m, k, spacing),
-                    "K_num_index": num_idx,
-                    "K_num": _usage(favard, num_idx, rtol).value,
-                    "K_den_index": den_idx,
-                    "K_den": _usage(favard, den_idx, rtol).value,
-                }
-            )
+            num, den = 2 * (m - k) + 1, 2 * m + 1
+            constant = _usage(sharp_constant, m, k, spacing)
+            k_num = _usage(favard, num, rtol).value
+            k_den = _usage(favard, den, rtol).value
+            rows.append((m, k, spacing, h, constant, num, k_num, den, k_den))
+    keys = ("m", "k", "delta", "h", "constant", "K_num_index", "K_num")
+    keys += ("K_den_index", "K_den")
     params = {"max_degree": m_max, "max_order": k_max, "spacing": spacing, "rtol": rtol}
-    return OutputRecord(command="constants", parameters=params, rows=rows)
+    return OutputRecord(
+        command="constants", parameters=params, columns=_transposed(keys, rows)
+    )
 
 
 def cmd_symbol(m: int, points: int, rtol: float = 1e-12) -> OutputRecord:
@@ -293,8 +310,8 @@ def cmd_symbol(m: int, points: int, rtol: float = 1e-12) -> OutputRecord:
     grid = np.linspace(0.0, 2.0 * math.pi, points)
     lat = _usage(symbol_lattice, m, grid, rtol)
     four = symbol_fourier(m, grid)
-    efp = symbol_via_ef(m, grid)
-    columns = {
+    efp = _usage(symbol_via_ef, m, grid)
+    arrays = {
         "omega": grid,
         "fourier": four,
         "lattice": lat.value,
@@ -306,15 +323,11 @@ def cmd_symbol(m: int, points: int, rtol: float = 1e-12) -> OutputRecord:
     }
     if m >= 1:
         ratios = ratio_L(m, grid)
-        columns["ratio_L"] = ratios
-        columns["is_argmax"] = np.arange(points) == np.argmax(ratios)
-    names = list(columns)
-    rows = [
-        dict(zip(names, values))
-        for values in zip(*(col.tolist() for col in columns.values()))
-    ]
+        arrays["ratio_L"] = ratios
+        arrays["is_argmax"] = np.arange(points) == np.argmax(ratios)
+    columns = {k: a.tolist() for k, a in arrays.items()}
     params = {"degree": m, "points": points, "rtol": rtol}
-    return OutputRecord(command="symbol", parameters=params, rows=rows)
+    return OutputRecord(command="symbol", parameters=params, columns=columns)
 
 
 def _first_failure(
@@ -481,32 +494,17 @@ def cmd_verify(
     ratios = ratio.tolist()
     margins = margin.tolist()
     oks = satisfied.tolist()
-    rows = [
-        {
-            "kind": "trial",
-            "trial": i,
-            "coeff_count": count,
-            "ratio": r,
-            "constant": constant,
-            "margin": g,
-            "satisfied": ok,
-        }
-        for i, (count, r, g, ok) in enumerate(
-            zip(counts, ratios, margins, oks)
-        )
-    ]
-    # the same pairwise max/min/and, in trial order, as a running fold
-    rows.append(
-        {
-            "kind": "summary",
-            "trial": None,
-            "coeff_count": None,
-            "ratio": max([0.0] + ratios),
-            "constant": constant,
-            "margin": min([math.inf] + margins),
-            "satisfied": all(oks),
-        }
-    )
+    # one row per trial, then the summary: the same pairwise max/min/and,
+    # in trial order, as a running fold
+    columns = {
+        "kind": ["trial"] * trials + ["summary"],
+        "trial": [*range(trials), None],
+        "coeff_count": [*counts, None],
+        "ratio": [*ratios, max([0.0] + ratios)],
+        "constant": [constant] * (trials + 1),
+        "margin": [*margins, min([math.inf] + margins)],
+        "satisfied": [*oks, all(oks)],
+    }
     params = {
         "degree": m,
         "order": k,
@@ -514,7 +512,7 @@ def cmd_verify(
         "trials": trials,
         "seed": seed,
     }
-    return OutputRecord(command="verify", parameters=params, rows=rows)
+    return OutputRecord(command="verify", parameters=params, columns=columns)
 
 
 def cmd_extremal(m: int, n_list: list[int]) -> OutputRecord:
@@ -525,22 +523,16 @@ def cmd_extremal(m: int, n_list: list[int]) -> OutputRecord:
     if any(n < 0 for n in n_list):
         raise UsageError("sequence lengths must be non-negative")
     constant = sharp_constant(m, 1, 1.0)
-    rows = []
-    prev = -math.inf
-    for n in n_list:
-        r = extremal_ratio(m, n)
-        rows.append(
-            {
-                "n": n,
-                "ratio": r,
-                "constant": constant,
-                "ratio_over_constant": r / constant,
-                "nondecreasing": r >= prev,
-            }
-        )
-        prev = r
+    ratios = [extremal_ratio(m, n) for n in n_list]
+    columns = {
+        "n": list(n_list),
+        "ratio": ratios,
+        "constant": [constant] * len(ratios),
+        "ratio_over_constant": [r / constant for r in ratios],
+        "nondecreasing": [r >= prev for prev, r in zip([-math.inf, *ratios], ratios)],
+    }
     params = {"degree": m, "n_list": ",".join(str(n) for n in n_list)}
-    return OutputRecord(command="extremal", parameters=params, rows=rows)
+    return OutputRecord(command="extremal", parameters=params, columns=columns)
 
 
 def cmd_roots(n_max: int) -> OutputRecord:
@@ -552,6 +544,7 @@ def cmd_roots(n_max: int) -> OutputRecord:
     """
     if n_max < 3 or n_max % 2 == 0:
         raise UsageError("max order must be an odd integer >= 3")
+    _usage(_check_ef_order, n_max)
     rows = []
     for n in range(3, n_max + 1, 2):
         roots = ef_roots(n)
@@ -566,15 +559,11 @@ def cmd_roots(n_max: int) -> OutputRecord:
         for i, r in enumerate(roots):
             partner = roots[len(roots) - 1 - i]
             rows.append(
-                {
-                    "degree": n,
-                    "root_index": i,
-                    "root": float(r),
-                    "pair_residual": abs(float(r) * float(partner) - 1.0),
-                    "interlaced": interlaced,
-                }
+                (n, i, float(r), abs(float(r) * float(partner) - 1.0), interlaced)
             )
-    return OutputRecord(command="roots", parameters={"max_order": n_max}, rows=rows)
+    keys = ("degree", "root_index", "root", "pair_residual", "interlaced")
+    cols = _transposed(keys, rows)
+    return OutputRecord(command="roots", parameters={"max_order": n_max}, columns=cols)
 
 
 # -- driver ----------------------------------------------------------------
@@ -655,7 +644,7 @@ def main(argv=None) -> int:
             record = cmd_verify(
                 args.degree, args.order, args.spacing, args.trials, args.seed
             )
-            if not record.rows[-1]["satisfied"]:
+            if not record.columns["satisfied"][-1]:
                 status = 1
         elif args.subcommand == "extremal":
             ns = args.n if args.n else [0, 1, 3, 7, 15, 31, 63, 127, 255, 511]

@@ -35,6 +35,22 @@ def ef_coefficients_exact(n: int) -> tuple[int, ...]:
     return _scaled_integer_samples(n)
 
 
+def _check_ef_order(n: int) -> None:
+    """Reject an order whose roots ef_roots cannot isolate.
+
+    The order must be at least 1, and its largest coefficient a float:
+    the root search brackets by the Cauchy bound 1 + max(coeffs).  Order
+    172 is the first past that, and 173 the first odd one, the symbol's
+    order at degree 86.
+    """
+    try:
+        float(max(ef_coefficients_exact(n)))
+    except OverflowError:
+        raise ValueError(
+            f"order {n} is too high: its largest coefficient exceeds the float range"
+        ) from None
+
+
 def _exact_sign(coeffs: tuple[int, ...], x: float) -> int:
     """Sign of the integer polynomial at x, evaluated without rounding.
 
@@ -104,9 +120,8 @@ def _roots_cached(n: int) -> tuple[float, ...]:
 
 
 def ef_roots(n: int) -> Array:
-    """All n-1 roots, ascending.  Empty for n = 1."""
-    if n < 1:
-        raise ValueError("order must be at least 1")
+    """All n-1 roots, ascending.  Empty for n = 1; ValueError from 172 on."""
+    _check_ef_order(n)
     return np.array(_roots_cached(n), dtype=np.float64)
 
 

@@ -22,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import splineineq
-from splineineq import bspline, cli
+from splineineq import bspline, cli, euler_frobenius
 from splineineq.bernstein import (
     REPORT_SLACK,
     InequalityReport,
@@ -41,6 +41,15 @@ from splineineq.cli import (
     parse_record,
     render_record,
 )
+
+
+def from_rows(command: str, parameters: dict, rows: list[dict]) -> OutputRecord:
+    """The record whose table is these rows, each with the first row's keys."""
+    keys = list(rows[0]) if rows else []
+    assert all(list(row) == keys for row in rows)
+    columns = {k: [row[k] for row in rows] for k in keys}
+    return OutputRecord(command=command, parameters=parameters, columns=columns)
+
 
 ALL_RECORDS = [
     lambda: cmd_constants(2, 2, 1.0),
@@ -62,10 +71,9 @@ class TestSerialization:
         assert back == record
 
     def test_float_type_survives(self):
-        record = OutputRecord(
-            command="t", parameters={"a": 1.0, "b": 2, "c": None}, rows=[
-                {"x": 1.0, "y": 3, "z": "s", "w": True, "v": None}
-            ]
+        record = from_rows(
+            "t", {"a": 1.0, "b": 2, "c": None},
+            [{"x": 1.0, "y": 3, "z": "s", "w": True, "v": None}],
         )
         for fmt in ("csv", "json-lines"):
             back = parse_record(render_record(record, fmt), fmt)
@@ -81,9 +89,7 @@ class TestSerialization:
 
     def test_seventeen_digit_fidelity(self):
         vals = [math.pi, 1 / 3, 0.1, 1e-300, 12345.6789, 2.0**-52]
-        record = OutputRecord(
-            command="t", parameters={}, rows=[{"v": v} for v in vals]
-        )
+        record = from_rows("t", {}, [{"v": v} for v in vals])
         for fmt in ("csv", "json-lines"):
             back = parse_record(render_record(record, fmt), fmt)
             assert [r["v"] for r in back.rows] == vals
@@ -94,7 +100,7 @@ class TestSerialization:
         # "inf.0" and "nan.0" are neither JSON nor a float to the CSV parser
         with pytest.raises(ValueError, match="non-finite"):
             cli._scalar(v, fmt)
-        record = OutputRecord(command="t", parameters={}, rows=[{"v": v}])
+        record = from_rows("t", {}, [{"v": v}])
         with pytest.raises(ValueError, match="non-finite"):
             render_record(record, fmt)
 
@@ -228,11 +234,8 @@ def _audit_like(n):
     ]
     rows.append({"kind": "summary", "trial": None, "coeff_count": None,
                  "ratio": 0.5, "constant": 27.5, "margin": -0.0, "satisfied": False})
-    return OutputRecord(
-        command="verify",
-        parameters={"degree": 6, "spacing": 0.5, "rate %": "100%", "none": None},
-        rows=rows,
-    )
+    params = {"degree": 6, "spacing": 0.5, "rate %": "100%", "none": None}
+    return from_rows("verify", params, rows)
 
 
 class TestColumnRenderer:
@@ -252,10 +255,8 @@ class TestColumnRenderer:
         assert render_record(record, fmt) == render_record_reference(record, fmt)
 
     def test_keys_with_percent(self):
-        record = OutputRecord(
-            command="t",
-            parameters={},
-            rows=[{"%s": i, "100%": 0.5 * i, "%%d": "%d"} for i in range(5)],
+        record = from_rows(
+            "t", {}, [{"%s": i, "100%": 0.5 * i, "%%d": "%d"} for i in range(5)]
         )
         for fmt in ("csv", "json-lines"):
             assert render_record(record, fmt) == render_record_reference(record, fmt)
@@ -280,16 +281,32 @@ def _other_keys(row: dict, how: str) -> dict:
 
 
 class TestOneTable:
-    """A record is one table: every row has the first row's keys in order."""
+    """A record is one table: columns of one length, each row's cells."""
+
+    @pytest.mark.parametrize("cells", [4097, 4099])  # one short, one long
+    @pytest.mark.parametrize("fmt", ["csv", "json-lines"])
+    def test_column_of_another_length_raises(self, cells, fmt):
+        record = _audit_like(4097)  # 4098 rows: the summary is in the third chunk
+        record.columns["margin"] = (record.columns["margin"] * 2)[:cells]
+        message = f"^the columns differ in length: .*'margin': {cells},"
+        with pytest.raises(ValueError, match=message):
+            render_record(record, fmt)
 
     @pytest.mark.parametrize("how", ["missing", "extra", "reordered"])
     @pytest.mark.parametrize("where", [1, 50, 51, 2051, 4097])
-    @pytest.mark.parametrize("fmt", ["csv", "json-lines"])
-    def test_row_with_other_keys_raises(self, how, where, fmt):
-        record = _audit_like(4097)  # row 4097 is the summary, in the third chunk
-        record.rows[where] = _other_keys(record.rows[where], how)
+    def test_json_row_with_other_keys_raises_on_parse(self, how, where):
+        record = _audit_like(4097)
+        lines = render_record(record, "json-lines").splitlines(keepends=True)
+        lines[1 + where] = json.dumps(_other_keys(record.rows[where], how)) + "\n"
         with pytest.raises(ValueError, match=f"^row {where} has the keys "):
-            render_record(record, fmt)
+            parse_record("".join(lines), "json-lines")
+
+    def test_json_other_first_row_names_row_one(self):
+        record = _audit_like(3)
+        lines = render_record(record, "json-lines").splitlines(keepends=True)
+        lines[1] = json.dumps(_other_keys(record.rows[0], "extra")) + "\n"
+        with pytest.raises(ValueError, match="^row 1 has the keys "):
+            parse_record("".join(lines), "json-lines")
 
     @pytest.mark.parametrize("line", ["3,2.5", "3,2.5,3.5,0.5,true,x", '""'])
     def test_csv_row_of_another_width_raises_on_parse(self, line):
@@ -297,12 +314,27 @@ class TestOneTable:
         with pytest.raises(ValueError):
             parse_record(text, "csv")
 
-    @pytest.mark.parametrize("fmt", ["csv", "json-lines"])
-    def test_other_first_row_names_row_one(self, fmt):
-        record = _audit_like(3)
-        record.rows[0] = _other_keys(record.rows[0], "extra")
-        with pytest.raises(ValueError, match="^row 1 has the keys "):
-            render_record(record, fmt)
+    @pytest.mark.parametrize(
+        "text,fmt",
+        [
+            ("", "json-lines"),
+            ("\n\n", "json-lines"),
+            ("5\n", "json-lines"),
+            ('{"command": "t", "parameters": {}}\n', "json-lines"),
+            ("", "csv"),
+            ("# command=t\n", "csv"),
+        ],
+    )
+    def test_text_that_is_not_a_record_raises(self, text, fmt):
+        with pytest.raises(ValueError, match=f"^not a {fmt} record: "):
+            parse_record(text, fmt)
+
+    def test_rows_view_is_built_once_and_read_only(self):
+        record = cmd_extremal(1, [0, 1, 3])
+        assert record.rows is record.rows
+        assert [r["n"] for r in record.rows] == record.columns["n"] == [0, 1, 3]
+        with pytest.raises(TypeError):
+            record.rows[0] = {}
 
 
 class TestInPlaceDraw:
@@ -407,6 +439,8 @@ class TestCommands:
             lambda: cmd_extremal(1, []),
             lambda: cmd_roots(4),
             lambda: cmd_roots(1),
+            lambda: cmd_roots(173),
+            lambda: cmd_symbol(86, 3),
         ],
     )
     def test_usage_errors(self, call):
@@ -438,6 +472,31 @@ class TestMain:
         assert code == 2
         record = parse_record(out, "json-lines")
         assert len(record.rows) == 3
+
+    @pytest.mark.parametrize(
+        "argv,order",
+        [
+            # degree 86: order 173, the first odd order past the float range
+            (["symbol", "--degree", "86", "--points", "3"], 173),
+            (["symbol", "--degree", "100", "--points", "3"], 201),
+            (["roots", "--max-order", "173"], 173),
+        ],
+    )
+    def test_order_past_the_float_range_exits_two(
+        self, monkeypatch, capsys, argv, order
+    ):
+        def searched(n):
+            raise AssertionError(f"a root search of order {n} started")
+
+        # refused before any root search, roots' lower orders included
+        monkeypatch.setattr(euler_frobenius, "_roots_cached", searched)
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: order {order} is too high: its largest coefficient exceeds"
+            " the float range\n"
+        )
 
     def test_usage_error_exit(self, capsys):
         code = main(["roots", "--max-order", "6"])
@@ -671,7 +730,7 @@ class TestCodec:
     )
     def test_csv_quotes_text_that_reads_as_another_type(self, text):
         assert cli._scalar(text, "csv") == json.dumps(text)
-        record = OutputRecord(command="t", parameters={"p": text}, rows=[{"v": text}])
+        record = from_rows("t", {"p": text}, [{"v": text}])
         assert typed(parse_record(render_record(record, "csv"), "csv")) == typed(record)
 
     @pytest.mark.parametrize(
@@ -686,10 +745,7 @@ class TestCodec:
         st.lists(st.tuples(SCALARS, SCALARS), max_size=5),
     )
     def test_any_scalars_round_trip(self, parameters, pairs):
-        record = OutputRecord(
-            command="t", parameters=parameters,
-            rows=[{"x": x, "y,z": y} for x, y in pairs],
-        )
+        record = from_rows("t", parameters, [{"x": x, "y,z": y} for x, y in pairs])
         for fmt in ("csv", "json-lines"):
             assert typed(parse_record(render_record(record, fmt), fmt)) == typed(record)
 
@@ -857,7 +913,7 @@ def verify_reference(m, k, spacing, trials, seed):
                  "margin": min_margin, "satisfied": all_ok})
     params = {"degree": m, "order": k, "spacing": spacing, "trials": trials,
               "seed": seed}
-    return OutputRecord(command="verify", parameters=params, rows=rows)
+    return from_rows("verify", params, rows)
 
 
 class TestBatchedVerify:

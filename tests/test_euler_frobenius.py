@@ -56,6 +56,25 @@ class TestRoots:
     def test_order_one_has_none(self):
         assert ef_roots(1).size == 0
 
+    @pytest.mark.parametrize("n", [172, 173, 201])
+    def test_order_past_the_float_range_raises(self, n):
+        # the largest coefficient of order 171 is a float, that of 172 is not
+        assert float(max(ef_coefficients_exact(171))) < math.inf
+        with pytest.raises(OverflowError):
+            float(max(ef_coefficients_exact(172)))
+        message = f"^order {n} is too high: its largest coefficient exceeds"
+        with pytest.raises(ValueError, match=message):
+            ef_roots(n)
+        with pytest.raises(ValueError, match=message):
+            representative_roots(n)
+        if n % 2:  # the symbol of degree (n - 1) / 2 needs the roots of order n
+            with pytest.raises(ValueError, match=message):
+                symbol_via_ef((n - 1) // 2, 0.5)
+
+    def test_order_below_one_raises(self):
+        with pytest.raises(ValueError, match="^order must be at least 1$"):
+            ef_roots(0)
+
     def test_order_two(self):
         assert_allclose(ef_roots(2), [-1.0])
 

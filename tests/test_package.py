@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import ast
 import importlib
 import pkgutil
 import re
@@ -19,6 +20,26 @@ def test_readme_imports_are_exported():
     names = {n.strip() for block in blocks for n in block.split(",") if n.strip()}
     assert names, "README imports nothing from splineineq"
     assert names <= set(splineineq.__all__), names - set(splineineq.__all__)
+
+
+def test_readme_library_block_runs():
+    """README's Library block runs, and each expression in it gives the
+    value its comment starts with ("0.9985..." standing for that prefix)."""
+    text = README.read_text(encoding="utf-8")
+    block = text.split("## Library\n\n```python\n", 1)[1].split("```", 1)[0]
+    lines = block.splitlines()
+    namespace: dict = {}
+    shown = []
+    for node in ast.parse(block).body:
+        if not isinstance(node, ast.Expr):
+            exec(compile(ast.Module([node], []), "README", "exec"), namespace)
+            continue
+        value = eval(compile(ast.Expression(node.value), "README", "eval"), namespace)
+        comment = lines[node.end_lineno - 1].split("#", 1)[1]
+        want = re.match(r"\s*([^\s,:]+)", comment).group(1).rstrip(".")
+        assert repr(value).startswith(want), (ast.unparse(node), value)
+        shown.append(want)
+    assert shown == ["3.14362", "True", "0.9985", "9.999999999999998"]
 
 
 def test_all_names_resolve():
