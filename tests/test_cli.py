@@ -7,9 +7,7 @@ import importlib
 import io
 import json
 import math
-import mmap
 import os
-import signal
 import subprocess
 import sys
 import threading
@@ -22,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import splineineq
-from splineineq import bspline, cli, euler_frobenius
+from splineineq import _seeds, bspline, cli, euler_frobenius
 from splineineq.bernstein import (
     REPORT_SLACK,
     InequalityReport,
@@ -918,7 +916,15 @@ def verify_reference(m, k, spacing, trials, seed):
 
 class TestBatchedVerify:
     @pytest.mark.parametrize(
-        "m,k,spacing,seed", [(0, 0, 1.0, 3), (3, 2, 0.5, 7), (12, 12, 2.0, 5)]
+        "m,k,spacing,seed",
+        [
+            (0, 0, 1.0, 3),
+            (3, 2, 0.5, 7),
+            (12, 12, 2.0, 5),
+            # trial seeds that cross 2^32 and 2^128
+            (3, 2, 0.5, 4294967290),
+            (6, 3, 0.5, 2**128 - 5),
+        ],
     )
     @pytest.mark.parametrize("trials", [1, 1023, 1024, 1025, 2500, 4097])
     def test_matches_per_trial_loop(self, m, k, spacing, seed, trials):
@@ -972,26 +978,52 @@ class TestBatchedVerify:
             cmd_verify(2, 1, 1.0, trials, seed)
 
 
+class TestSeedStates:
+    """verify's seeding is numpy's, bit for bit, one seed hash per trial."""
+
+    @pytest.mark.parametrize(
+        "lo,hi",
+        [
+            (1, 20001),
+            # the seeds whose words run from one to two, two to three, four
+            # to five (mixed past numpy's pool of 4) and five to six
+            (2**32 - 8, 2**32 + 8),
+            (2**64 - 8, 2**64 + 8),
+            (2**128 - 8, 2**128 + 8),
+            (2**160 - 8, 2**160 + 8),
+        ],
+    )
+    def test_states_and_draws_are_numpys(self, lo, hi):
+        states = _seeds.seed_states(lo, hi)
+        assert states.dtype == np.uint64 and states.shape == (hi - lo, 4)
+        for s, state in zip(range(lo, hi), states):
+            want = np.random.SeedSequence(s).generate_state(4, np.uint64)
+            assert state.tobytes() == want.tobytes(), s
+            got, ref = np.empty(40), np.empty(40)
+            np.random.Generator(np.random.PCG64(_seeds.HashedSeed(state))).random(out=got)
+            np.random.default_rng(s).random(out=ref)
+            assert got.tobytes() == ref.tobytes(), s
+
+
 AUDIT = (6, 3, 0.5)  # degree, order and spacing of the benchmark's audit
 
 
-def rendered(record: OutputRecord) -> tuple[str, str]:
-    return render_record(record, "csv"), render_record(record, "json-lines")
-
-
 @functools.lru_cache(maxsize=None)
-def audit_reference(trials: int, seed: int) -> tuple[str, str]:
-    """The per-trial loop's audit record, rendered as CSV and JSON lines."""
-    return rendered(verify_reference(*AUDIT, trials, seed))
+def numpy_seeded_audit(trials: int, seed: int) -> str:
+    """The audit record, each trial's generator seeded by numpy from its int seed."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_seeds, "seed_states", lambda lo, hi: range(lo, hi))
+        patch.setattr(_seeds, "HashedSeed", int)
+        return render_record(cmd_verify(*AUDIT, trials, seed), "json-lines")
 
 
 class TestSplitDraw:
-    """verify's draw split across forked workers gives the same bytes."""
+    """verify's draw is never split: one process, the same bytes on any CPUs."""
 
     @pytest.fixture(autouse=True)
     def no_child_left(self):
         yield
-        # a worker not reaped would be a zombie child of this process
+        # a forked child not reaped would be a zombie child of this process
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
@@ -1009,31 +1041,25 @@ class TestSplitDraw:
         return calls
 
     @staticmethod
-    def expected_forks(cpus: int, trials: int) -> int:
-        return max(min(cpus, trials // cli.DRAW_MIN) - 1, 0)
+    def check_audit(forks: list, trials: int, seed: int) -> None:
+        got = cmd_verify(*AUDIT, trials, seed)
+        assert forks == []
+        assert render_record(got, "json-lines") == numpy_seeded_audit(trials, seed)
 
     @pytest.mark.parametrize("seed", [0, 7])
     @pytest.mark.parametrize("trials", [2047, 2048, 2049, 4097, 20000])
     @pytest.mark.parametrize("cpus", [1, 2, 3, 8])
     def test_matches_per_trial_loop(self, monkeypatch, forks, cpus, trials, seed):
         monkeypatch.setattr(bspline, "_usable_cpus", lambda: cpus)
-        got = cmd_verify(*AUDIT, trials, seed)
-        assert rendered(got) == audit_reference(trials, seed)
-        assert len(forks) == self.expected_forks(cpus, trials)
+        self.check_audit(forks, trials, seed)
 
     def test_real_affinity(self, forks):
-        # on one CPU (taskset -c 0) this is the one-process path
-        got = cmd_verify(*AUDIT, 4097, 7)
-        assert rendered(got) == audit_reference(4097, 7)
-        cpus = len(os.sched_getaffinity(0))
-        assert len(forks) == self.expected_forks(cpus, 4097)
+        self.check_audit(forks, 4097, 7)
 
     @pytest.mark.parametrize("cpus", [2, 8])
     def test_1500_trials_stay_in_one_process(self, monkeypatch, forks, cpus):
         monkeypatch.setattr(bspline, "_usable_cpus", lambda: cpus)
-        got = cmd_verify(*AUDIT, 1500, 0)
-        assert forks == []
-        assert rendered(got) == audit_reference(1500, 0)
+        self.check_audit(forks, 1500, 0)
 
     def test_no_fork_beside_another_thread(self, monkeypatch, forks):
         monkeypatch.setattr(bspline, "_usable_cpus", lambda: 2)
@@ -1041,17 +1067,15 @@ class TestSplitDraw:
         other = threading.Thread(target=release.wait)
         other.start()
         try:
-            got = cmd_verify(*AUDIT, 4097, 7)
+            self.check_audit(forks, 4097, 7)
         finally:
             release.set()
             other.join(timeout=10)
         assert not other.is_alive()
-        assert forks == []
-        assert rendered(got) == audit_reference(4097, 7)
 
     def test_reports_lowest_failing_trial_a_worker_drew(self, monkeypatch, forks):
-        # with two processes the worker draws trials 2048..4096; two forged
-        # failures there, the lower-numbered one in the later-checked stack
+        # trials 2048..4096 were once a worker's share; two forged failures
+        # there, the lower-numbered one in the later-checked stack
         monkeypatch.setattr(bspline, "_usable_cpus", lambda: 2)
         trials, seed = 4097, 4
         counts = np.random.default_rng(seed).integers(1, 41, size=trials).tolist()
@@ -1072,77 +1096,22 @@ class TestSplitDraw:
         monkeypatch.setattr(cli, "verify_inequality", failing)
         with pytest.raises(cli.UsageError, match=f"^trial {first}: forged failure$"):
             cmd_verify(2, 1, 1.0, trials, seed)
-        assert len(forks) == 1
-
-    @pytest.mark.parametrize("death", ["exit 1", "SIGKILL"])
-    def test_failed_worker_is_redrawn(self, monkeypatch, forks, death):
-        # three processes: trials 0..1364 here, 1365..2730 and 2731..4096 in
-        # workers; the last worker writes wrong bits into its first rows and
-        # then dies, so every one of its rows must come from the redraw
-        monkeypatch.setattr(bspline, "_usable_cpus", lambda: 3)
-        trials, seed = 4097, 7
-        parent = os.getpid()
-        real = np.random.default_rng
-
-        def sabotaged(s):
-            trial = s - seed - 1
-            if os.getpid() != parent and trial >= 2731:
-                if trial == 2731 + 100:
-                    if death == "SIGKILL":
-                        os.kill(os.getpid(), signal.SIGKILL)
-                    raise RuntimeError("worker fails")
-                return real(s + 1)
-            return real(s)
-
-        monkeypatch.setattr(np.random, "default_rng", sabotaged)
-        got = cmd_verify(*AUDIT, trials, seed)
-        assert len(forks) == 2
-        assert rendered(got) == audit_reference(trials, seed)
-
-    def test_no_shared_mapping_draws_in_one_process(self, monkeypatch, forks):
-        monkeypatch.setattr(bspline, "_usable_cpus", lambda: 2)
-
-        def refused(*args):
-            raise OSError("no mapping")
-
-        monkeypatch.setattr(mmap, "mmap", refused)
-        got = cmd_verify(*AUDIT, 4097, 7)
         assert forks == []
-        assert rendered(got) == audit_reference(4097, 7)
 
     def test_size_no_memory_can_hold(self, monkeypatch, forks):
-        # the mapping is refused at once, and so is the private buffer; main
-        # turns the MemoryError into exit 2 (TestOutOfMemory)
+        # 4096 trials of 2^38 coefficients each: the draw buffer (8 PiB) is
+        # refused at once; main turns the MemoryError into exit 2
+        # (TestOutOfMemory)
         monkeypatch.setattr(bspline, "_usable_cpus", lambda: 8)
+
+        class HugeCounts:
+            def integers(self, low, high, size):
+                return np.full(size, 1 << 38, dtype=np.int64)
+
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: HugeCounts())
         with pytest.raises(MemoryError):
-            cli._draw_all(1 << 50, 0, [0] * 4096, [1] * 4096)
+            cmd_verify(*AUDIT, 4096, 0)
         assert forks == []
-
-    @pytest.mark.parametrize("where", ["drawing", "waiting"])
-    def test_interrupt_leaves_no_worker(self, monkeypatch, forks, where):
-        monkeypatch.setattr(bspline, "_usable_cpus", lambda: 3)
-        parent = os.getpid()
-        real_rng, real_waitpid = np.random.default_rng, os.waitpid
-
-        def interrupted_rng(s):
-            if os.getpid() == parent and s == 500:
-                raise KeyboardInterrupt
-            return real_rng(s)
-
-        def interrupted_waitpid(pid, options):
-            if options == 0 and not interrupted_waitpid.done:
-                interrupted_waitpid.done = True
-                raise KeyboardInterrupt
-            return real_waitpid(pid, options)
-
-        interrupted_waitpid.done = False
-        if where == "drawing":
-            monkeypatch.setattr(np.random, "default_rng", interrupted_rng)
-        else:
-            monkeypatch.setattr(os, "waitpid", interrupted_waitpid)
-        with pytest.raises(KeyboardInterrupt):
-            cmd_verify(*AUDIT, 4097, 0)
-        assert len(forks) == 2
 
 
 def test_layers_the_bench_tracer_wraps_are_reached(monkeypatch):
@@ -1175,6 +1144,6 @@ def test_layers_the_bench_tracer_wraps_are_reached(monkeypatch):
     monkeypatch.setattr(np.random, "default_rng", rng)
 
     cmd_verify(4, 2, 0.5, trials=1500, seed=3)
-    assert calls["rng"] == 1500 + 1
+    assert calls["rng"] == 1  # the master generator; trials are seeded by hash
     for layer, name in targets:
         assert calls[f"{layer}.{name}"] > 0, name

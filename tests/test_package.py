@@ -2,8 +2,11 @@ from __future__ import annotations
 
 import ast
 import importlib
+import os
 import pkgutil
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -61,3 +64,14 @@ def test_layer_all_names_resolve(layer):
     mod = importlib.import_module(f"splineineq.{layer}")
     missing = [name for name in mod.__all__ if not hasattr(mod, name)]
     assert not missing, missing
+
+
+def test_importing_the_cli_leaves_numpy_random_unloaded():
+    # numpy loads numpy.random on first use; only verify needs it
+    code = "import sys, splineineq.cli; print('numpy.random' in sys.modules)"
+    src = str(Path(splineineq.__file__).resolve().parent.parent)
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert out.stdout == "False\n"
