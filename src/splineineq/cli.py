@@ -304,10 +304,12 @@ def cmd_symbol(m: int, points: int, rtol: float = 1e-12) -> OutputRecord:
     """
     if points < 2:
         raise UsageError("need at least two sweep points")
+    # the root product's ceilings, before any route runs
+    _usage(_check_ef_order, 2 * m + 1)
     grid = np.linspace(0.0, 2.0 * math.pi, points)
+    efp = _usage(symbol_via_ef, m, grid)
     lat = _usage(symbol_lattice, m, grid, rtol)
     four = symbol_fourier(m, grid)
-    efp = _usage(symbol_via_ef, m, grid)
     arrays = {
         "omega": grid,
         "fourier": four,

@@ -36,19 +36,16 @@ def ef_coefficients_exact(n: int) -> tuple[int, ...]:
 
 
 def _check_ef_order(n: int) -> None:
-    """Reject an order whose roots ef_roots cannot isolate.
+    """Reject an order above 171, the last whose coefficients are floats.
 
-    The order must be at least 1, and its largest coefficient a float:
-    the root search brackets by the Cauchy bound 1 + max(coeffs).  Order
-    172 is the first past that, and 173 the first odd one, the symbol's
-    order at degree 86.
+    The root search needs no coefficient bound; the ceiling keeps ef_roots
+    to polynomials a float table can hold, at O(1) cost.  Order 173 is the
+    first odd order past it, the symbol's order at degree 86.
     """
-    try:
-        float(max(ef_coefficients_exact(n)))
-    except OverflowError:
+    if n > 171:
         raise ValueError(
             f"order {n} is too high: its largest coefficient exceeds the float range"
-        ) from None
+        )
 
 
 def _exact_sign(coeffs: tuple[int, ...], x: float) -> int:
@@ -65,11 +62,7 @@ def _exact_sign(coeffs: tuple[int, ...], x: float) -> int:
     for c in reversed(coeffs):
         acc = acc * num + (c << shift)
         shift += k
-    if acc > 0:
-        return 1
-    if acc < 0:
-        return -1
-    return 0
+    return (acc > 0) - (acc < 0)
 
 
 def _bisect_root(coeffs: tuple[int, ...], lo: float, hi: float, slo: int) -> float:
@@ -78,45 +71,44 @@ def _bisect_root(coeffs: tuple[int, ...], lo: float, hi: float, slo: int) -> flo
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             return 0.5 * (lo + hi)
-        s = _exact_sign(coeffs, mid)
-        if s == 0:
-            return mid
-        if s == slo:
+        if _exact_sign(coeffs, mid) == slo:
             lo = mid
         else:
             hi = mid
 
 
+def _search_grid(n: int, points: int) -> Array:
+    """-2^-t for t evenly spaced on [0, n + 8], each mantissa cut to 12 bits."""
+    mant, exp = np.frexp(-np.exp2(-np.linspace(0.0, n + 8.0, points)))
+    return np.ldexp(np.round(mant * 4096.0) / 4096.0, exp)
+
+
 @lru_cache(maxsize=None)
 def _roots_cached(n: int) -> tuple[float, ...]:
+    # Monic with constant term 1 and positive coefficients: the only rational
+    # root can be -1, a root at even n and kept off the grid, so no dyadic
+    # point is a root.  The smallest root is about -2^-n, and (n-1)//2 sign
+    # changes in (-1, 0) certify one root per bracket.
     coeffs = ef_coefficients_exact(n)
-    if n == 1:
-        return ()
-    # All coefficients are positive, so every root is negative; the Cauchy
-    # bound confines them to [-bound, -1/bound].
-    bound = 1.0 + float(max(coeffs))
-    want = n - 1
-    grid_points = max(96, 24 * n)
+    points = 4 * n
     for _ in range(8):
-        mags = np.geomspace(1.0 / bound, bound, grid_points)
-        grid = -mags[::-1]
-        signs = [_exact_sign(coeffs, float(x)) for x in grid]
-        hits: list[float] = []
-        brackets: list[tuple[float, float, int]] = []
-        for i in range(len(grid) - 1):
-            if signs[i] == 0:
-                hits.append(float(grid[i]))
-            elif signs[i] * signs[i + 1] < 0:
-                brackets.append((float(grid[i]), float(grid[i + 1]), signs[i]))
-        if signs[-1] == 0:
-            hits.append(float(grid[-1]))
-        if len(hits) + len(brackets) == want:
-            roots = hits + [_bisect_root(coeffs, lo, hi, s) for lo, hi, s in brackets]
-            return tuple(sorted(roots))
-        grid_points *= 2
-    raise RootCountError(
-        f"found {len(hits) + len(brackets)} of {want} roots for order {n}"
-    )
+        grid = [x for x in _search_grid(n, points).tolist() if x != -1.0 or n % 2]
+        signs = [_exact_sign(coeffs, x) for x in grid]
+        brackets = [b for b in zip(grid, grid[1:], signs, signs[1:]) if b[2] != b[3]]
+        if len(brackets) == (n - 1) // 2:
+            break
+        points *= 2
+    else:
+        raise RootCountError(f"found {len(brackets)} roots in (-1, 0) for order {n}")
+    roots = [-1.0] * (1 - n % 2)
+    for lo, hi, slo, _ in brackets:
+        # the reciprocal bracket, rounded outward, must change sign too
+        olo, ohi = np.nextafter([1.0 / hi, 1.0 / lo], [-np.inf, np.inf]).tolist()
+        so = _exact_sign(coeffs, olo)
+        if so == _exact_sign(coeffs, ohi):
+            raise RootCountError(f"no sign change around 1/{lo!r} for order {n}")
+        roots += [_bisect_root(coeffs, lo, hi, slo), _bisect_root(coeffs, olo, ohi, so)]
+    return tuple(sorted(roots))
 
 
 def ef_roots(n: int) -> Array:
@@ -139,6 +131,12 @@ def _symbol_factors(m: int) -> tuple[tuple[float, ...], float]:
     at_zero = 1.0
     for lam in reps:
         at_zero *= (1.0 - lam) ** 2 / (-lam)
+    # Each factor is least at ω = π, as λ < 0, so the partial products there
+    # are the least at any ω; each must be a normal float.
+    at_pi = [(1.0 + 2.0 * lam + lam * lam) / (-lam) for lam in reps]
+    least = np.multiply.accumulate([1.0 / at_zero, *at_pi]).min()
+    if least < np.finfo(np.float64).tiny:
+        raise ValueError(f"degree {m} is too high: the root product underflows at pi")
     return reps, 1.0 / at_zero
 
 
@@ -147,8 +145,8 @@ def symbol_via_ef(m: int, omega):
 
     Each pair {λ, 1/λ} of roots contributes a factor proportional to
     (1 - 2λ cos ω + λ²)/|λ|; anchoring the product at ω = 0 fixes the
-    constant.  Independent of the Fourier-coefficient route, so the two
-    serve as cross-checks.
+    constant.  Independent of the Fourier-coefficient route.  ValueError
+    from degree 82 on, where the product at π is no longer a normal float.
     """
     _check_degree(m)
     w, restore = _prepare(omega)

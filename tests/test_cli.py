@@ -478,6 +478,11 @@ class TestMain:
             (["symbol", "--degree", "86", "--points", "3"], 173),
             (["symbol", "--degree", "100", "--points", "3"], 201),
             (["roots", "--max-order", "173"], 173),
+            # far past it: refused in O(1), before symbol_lattice's s**p
+            # overflows from degree 511 on
+            (["symbol", "--degree", "511", "--points", "3"], 1023),
+            (["symbol", "--degree", "100000", "--points", "3"], 200001),
+            (["roots", "--max-order", "1000001"], 1000001),
         ],
     )
     def test_order_past_the_float_range_exits_two(
@@ -494,6 +499,14 @@ class TestMain:
         assert captured.err == (
             f"error: order {order} is too high: its largest coefficient exceeds"
             " the float range\n"
+        )
+
+    def test_degree_82_underflows_exits_two(self, capsys):
+        assert main(["symbol", "--degree", "82", "--points", "3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: degree 82 is too high: the root product underflows at pi\n"
         )
 
     def test_usage_error_exit(self, capsys):

@@ -11,12 +11,51 @@ from numpy.testing import assert_allclose
 from splineineq.cli import main
 from splineineq.euler_frobenius import (
     _exact_sign,
+    _search_grid,
     ef_coefficients_exact,
     ef_roots,
     representative_roots,
     symbol_via_ef,
 )
 from splineineq.symbol import symbol_fourier
+
+
+def full_axis_roots(n: int) -> tuple[float, ...]:
+    """Oracle: every root from one search of the whole negative axis.
+
+    A geomspace grid between the Cauchy bounds -(1 + max coeff)^±1, doubled
+    until it shows all n - 1 roots as sign changes or exact zeros, and each
+    bracket bisected to one ulp.  The library's search takes only (-1, 0)
+    and gets the rest by reciprocity; both must give the same floats.
+    """
+    coeffs = ef_coefficients_exact(n)
+    if n == 1:
+        return ()
+    bound = 1.0 + float(max(coeffs))
+    grid_points = max(96, 24 * n)
+    for _ in range(8):
+        grid = (-np.geomspace(1.0 / bound, bound, grid_points)[::-1]).tolist()
+        signs = [_exact_sign(coeffs, x) for x in grid]
+        hits = [x for x, s in zip(grid, signs) if s == 0]
+        brackets = [
+            (grid[i], grid[i + 1], signs[i])
+            for i in range(len(grid) - 1)
+            if signs[i] * signs[i + 1] < 0
+        ]
+        if len(hits) + len(brackets) == n - 1:
+            break
+        grid_points *= 2
+    else:
+        raise AssertionError(f"the full-axis search missed roots of order {n}")
+    roots = list(hits)
+    for lo, hi, slo in brackets:
+        while (mid := 0.5 * (lo + hi)) > lo and mid < hi:
+            s = _exact_sign(coeffs, mid)
+            if s == 0:
+                break
+            lo, hi = (mid, hi) if s == slo else (lo, mid)
+        roots.append(mid)
+    return tuple(sorted(roots))
 
 
 class TestCoefficients:
@@ -74,6 +113,28 @@ class TestRoots:
     def test_order_below_one_raises(self):
         with pytest.raises(ValueError, match="^order must be at least 1$"):
             ef_roots(0)
+
+    @pytest.mark.parametrize("n", range(1, 62))
+    def test_both_halves_match_the_full_axis_search(self, n):
+        roots = ef_roots(n).tolist()
+        assert roots == list(full_axis_roots(n))
+        inner = [r for r in roots if r > -1.0]
+        assert representative_roots(n).tolist() == inner
+        assert len(inner) == (n - 1) // 2
+
+    def test_last_order_has_certified_reciprocal_pairs(self):
+        # order 171, the ceiling: 170 roots, none of them -1
+        n = 171
+        coeffs = ef_coefficients_exact(n)
+        r = ef_roots(n)
+        assert r.size == n - 1
+        assert np.all(np.diff(r) > 0)
+        assert_allclose(r * r[::-1], 1.0, rtol=1e-15, atol=0)
+        # each root is one of the two floats around an exact sign change
+        for x in r.tolist():
+            around = [np.nextafter(x, -np.inf), x, np.nextafter(x, 0.0)]
+            signs = [_exact_sign(coeffs, float(y)) for y in around]
+            assert 0 not in signs and signs[0] != signs[2], x
 
     def test_order_two(self):
         assert_allclose(ef_roots(2), [-1.0])
@@ -150,6 +211,12 @@ class TestSymbolProduct:
         with pytest.raises(ValueError):
             symbol_via_ef(-1, 0.5)
 
+    def test_degree_82_underflows(self):
+        # its product at π passes 2.0e-310, below the least normal float
+        message = "^degree 82 is too high: the root product underflows at pi$"
+        with pytest.raises(ValueError, match=message):
+            symbol_via_ef(82, 0.5)
+
 
 def fraction_sign(coeffs, x):
     """Oracle: Horner over Fraction, the float taken as the exact rational."""
@@ -165,8 +232,7 @@ class TestExactSign:
     def test_matches_fraction_horner(self, n):
         coeffs = ef_coefficients_exact(n)
         # the first root-search grid, as built for this order
-        bound = 1.0 + float(max(coeffs))
-        grid = -np.geomspace(1.0 / bound, bound, max(96, 24 * n))[::-1]
+        grid = _search_grid(n, 4 * n)
         roots = ef_roots(n)
         near_roots = np.concatenate(
             [roots, np.nextafter(roots, -np.inf), np.nextafter(roots, 0.0)]
