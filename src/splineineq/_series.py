@@ -1,11 +1,15 @@
-"""Shared tail estimates for slowly converging power-law series, and the
-tolerance and term limits of every series loop in the package."""
+"""Shared tail estimates for slowly converging power-law series, a correctly
+rounded row sum, and the tolerance and term limits of every series loop in
+the package."""
 
 from __future__ import annotations
 
 import math
+from itertools import repeat
 
-__all__ = ["ROUNDING_FLOOR", "power_tail", "power_tail_bound"]
+import numpy as np
+
+__all__ = ["ROUNDING_FLOOR", "fsum_rows", "libm_pow", "power_tail", "power_tail_bound"]
 
 # Relative rounding error charged to every computed constant; a relative
 # tolerance at or below it can never be met.
@@ -26,23 +30,71 @@ def _double_terms(terms: int, rtol: float) -> int:
     return 2 * terms
 
 
-def power_tail(first: float, step: float, p: float) -> float:
+def libm_pow(x, y: float):
+    """x ** y by the C library's pow, for a float or elementwise for a 1-D array.
+
+    numpy's vectorised power differs from libm's pow in the last bit for
+    about 5% of inputs, and published values must not move, so a float and
+    its element of an array get the same bits.
+    """
+    if isinstance(x, np.ndarray):
+        return np.fromiter(map(math.pow, x.tolist(), repeat(y)), np.float64, x.size)
+    return math.pow(x, y)
+
+
+def fsum_rows(block: np.ndarray) -> np.ndarray:
+    """math.fsum of each row of a 2-D array of finite, non-negative floats.
+
+    TwoSum chains over the columns carry each row's exact sum as a float
+    plus rounding errors (Ogita, Rump & Oishi, SIAM J. Sci. Comput. 2005).
+    A row's result is kept only when the exact remainder plus a bound on
+    the error of summing those errors lies strictly inside half the
+    smaller float gap beside it: the exact sum then rounds to it under any
+    tie rule, so it is fsum's.  Every other row goes to math.fsum.
+    """
+    s = block[:, 0]
+    c = np.zeros_like(s)  # the errors, summed in floats
+    a = np.zeros_like(s)  # their magnitudes, for the bound
+    for x in block.T[1:]:
+        s, q = _two_sum(s, x)
+        c += q
+        a += np.abs(q)
+    res, t = _two_sum(s, c)
+    # summing the k - 1 errors is off by at most γ_{k-2}·Σ|q| <= k·2^-53·a
+    # (Higham, ch. 4); twice that bounds it after the product rounds, in
+    # gradual underflow too, where an error under 2^-1075 is exactly zero
+    pad = a * (block.shape[1] * 2.0**-52)
+    gap = np.minimum(np.nextafter(res, np.inf) - res, res - np.nextafter(res, -np.inf))
+    miss = np.flatnonzero(~(np.abs(t) + pad < 0.5 * gap))
+    res[miss] = [math.fsum(row) for row in block[miss].tolist()]
+    return res
+
+
+def _two_sum(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """s = fl(a + b) and the error e with s + e = a + b exactly (Knuth)."""
+    s = a + b
+    bb = s - a
+    return s, (a - (s - bb)) + (b - bb)
+
+
+def power_tail(first, step: float, p: float):
     """Euler-Maclaurin estimate of sum_{l>=0} (first + step*l)^(-p).
 
     Truncated after the B_4 term.  ``first`` is the smallest argument in
-    the tail, ``step`` the lattice spacing, ``p > 1`` the decay exponent.
+    the tail, a float or a 1-D array of them; ``step`` the lattice
+    spacing, ``p > 1`` the decay exponent.
     """
     if p <= 1.0:
         raise ValueError("tail diverges unless p > 1")
-    head = first ** (1.0 - p) / (step * (p - 1.0))
-    half = 0.5 * first**-p
-    b2 = step * p * first ** -(p + 1.0) / 12.0
-    b4 = step**3 * p * (p + 1.0) * (p + 2.0) * first ** -(p + 3.0) / 720.0
+    head = libm_pow(first, 1.0 - p) / (step * (p - 1.0))
+    half = 0.5 * libm_pow(first, -p)
+    b2 = step * p * libm_pow(first, -(p + 1.0)) / 12.0
+    b4 = step**3 * p * (p + 1.0) * (p + 2.0) * libm_pow(first, -(p + 3.0)) / 720.0
     return head + half + b2 - b4
 
 
-def power_tail_bound(first: float, step: float, p: float) -> float:
-    """Bound on the error of :func:`power_tail`.
+def power_tail_bound(first, step: float, p: float):
+    """Bound on the error of :func:`power_tail`, for a float or a 1-D array.
 
     The integrand x^(-p) is completely monotone, so the Euler-Maclaurin
     remainder after the B_4 term is enveloped by the first omitted term.
@@ -56,6 +108,6 @@ def power_tail_bound(first: float, step: float, p: float) -> float:
         * (p + 2.0)
         * (p + 3.0)
         * (p + 4.0)
-        * first ** -(p + 5.0)
+        * libm_pow(first, -(p + 5.0))
         / 30240.0
     )

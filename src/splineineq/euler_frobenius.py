@@ -77,31 +77,39 @@ def _bisect_root(coeffs: tuple[int, ...], lo: float, hi: float, slo: int) -> flo
             hi = mid
 
 
-def _search_grid(n: int, points: int) -> Array:
-    """-2^-t for t evenly spaced on [0, n + 8], each mantissa cut to 12 bits."""
-    mant, exp = np.frexp(-np.exp2(-np.linspace(0.0, n + 8.0, points)))
+def _search_grid(n: int, intervals: int) -> Array:
+    """-2^-t for t = i·(n + 8)/intervals, i = 0..intervals, each mantissa cut
+    to 12 bits.  Doubling ``intervals`` halves the step exactly, so the
+    finer grid holds every point of the coarser one at its even indices.
+    """
+    t = np.arange(intervals + 1) * ((n + 8.0) / intervals)
+    mant, exp = np.frexp(-np.exp2(-t))
     return np.ldexp(np.round(mant * 4096.0) / 4096.0, exp)
 
 
 @lru_cache(maxsize=None)
 def _roots_cached(n: int) -> tuple[float, ...]:
     # Monic with constant term 1 and positive coefficients: the only rational
-    # root can be -1, a root at even n and kept off the grid, so no dyadic
-    # point is a root.  The smallest root is about -2^-n, and (n-1)//2 sign
-    # changes in (-1, 0) certify one root per bracket.
+    # root can be -1, a root at even n and the first grid point, skipped
+    # there, so no other dyadic point is a root.  The smallest root is about
+    # -2^-n, and (n-1)//2 sign changes in (-1, 0) certify one root per
+    # bracket.  Each doubling signs only the new points.
     coeffs = ef_coefficients_exact(n)
-    points = 4 * n
+    skip = 1 - n % 2
+    grid = _search_grid(n, 4 * n)
+    signs = np.array([_exact_sign(coeffs, x) for x in grid.tolist()])
     for _ in range(8):
-        grid = [x for x in _search_grid(n, points).tolist() if x != -1.0 or n % 2]
-        signs = [_exact_sign(coeffs, x) for x in grid]
-        brackets = [b for b in zip(grid, grid[1:], signs, signs[1:]) if b[2] != b[3]]
-        if len(brackets) == (n - 1) // 2:
+        at = np.flatnonzero(signs[skip:-1] != signs[skip + 1 :]) + skip
+        if at.size == (n - 1) // 2:
             break
-        points *= 2
+        grid = _search_grid(n, 2 * (grid.size - 1))
+        finer = np.repeat(signs, 2)[:-1]
+        finer[1::2] = [_exact_sign(coeffs, x) for x in grid[1::2].tolist()]
+        signs = finer
     else:
-        raise RootCountError(f"found {len(brackets)} roots in (-1, 0) for order {n}")
-    roots = [-1.0] * (1 - n % 2)
-    for lo, hi, slo, _ in brackets:
+        raise RootCountError(f"found {at.size} roots in (-1, 0) for order {n}")
+    roots = [-1.0] * skip
+    for lo, hi, slo in zip(grid[at].tolist(), grid[at + 1].tolist(), signs[at].tolist()):
         # the reciprocal bracket, rounded outward, must change sign too
         olo, ohi = np.nextafter([1.0 / hi, 1.0 / lo], [-np.inf, np.inf]).tolist()
         so = _exact_sign(coeffs, olo)

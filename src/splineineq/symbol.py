@@ -10,7 +10,8 @@ from dataclasses import dataclass
 import numpy as np
 import numpy.typing as npt
 
-from ._series import _check_rtol, _double_terms, power_tail, power_tail_bound
+from ._series import _check_rtol, _double_terms, fsum_rows, libm_pow
+from ._series import power_tail, power_tail_bound
 from .bspline import _check_degree, _prepare, gram_autocorrelation
 
 Array = npt.NDArray[np.float64]
@@ -62,23 +63,17 @@ def _lattice_terms(r, s, p: float, terms: int) -> Array:
     return (s / np.abs(r + _TWO_PI * ls)) ** p
 
 
-def _lattice_total(
-    r: float, s: float, p: float, terms: int, vals: Array
-) -> tuple[float, float]:
-    """Sum of the explicit terms ``vals`` and both tail estimates, with the
-    tails' error bound.  fsum is correctly rounded, so term order is moot.
-
-    The tails stay Python-float arithmetic: numpy's vectorised power
-    differs from libm's pow in the last bit for about 5% of inputs, and
-    the published values must not move.
+def _lattice_total(r, s, p: float, terms: int, partial) -> tuple:
+    """``partial``, the sum of the explicit terms, plus both tail estimates,
+    with the tails' error bound; every argument but p and terms is a float
+    or a 1-D array.  The powers go through libm, so a frequency gets the
+    same bits alone as inside an array.
     """
-    partial = math.fsum(vals.tolist())
     first_up = r + _TWO_PI * (terms + 1)
     first_dn = -(r - _TWO_PI * (terms + 1))
-    tail = s**p * (
-        power_tail(first_up, _TWO_PI, p) + power_tail(first_dn, _TWO_PI, p)
-    )
-    bound = s**p * (
+    sp = libm_pow(s, p)
+    tail = sp * (power_tail(first_up, _TWO_PI, p) + power_tail(first_dn, _TWO_PI, p))
+    bound = sp * (
         power_tail_bound(first_up, _TWO_PI, p) + power_tail_bound(first_dn, _TWO_PI, p)
     )
     return partial + tail, bound
@@ -93,12 +88,13 @@ def symbol_lattice(m: int, omega, rtol: float = 1e-12) -> SymbolEval:
     tails are estimated by Euler-Maclaurin with an enveloping remainder;
     the number of explicit terms doubles until the bound meets rtol.
 
-    Accepts a scalar or an array of frequencies.  The first 17 terms of
-    every frequency are formed in one array operation; only frequencies
-    that miss rtol with them go on to the doubling, one at a time.  A
-    frequency gets the same result alone as inside an array.  Raises
-    ValueError unless rtol is finite and above ROUNDING_FLOOR, and when
-    1 << 22 terms do not meet it.
+    Accepts a scalar or an array of frequencies.  One array pass finishes
+    every frequency with its first 17 terms: their correctly rounded row
+    sum (the terms are finite and non-negative, as fsum_rows requires)
+    plus both tails.  Only frequencies that miss rtol go on to the
+    doubling, one at a time.  A frequency gets the same result alone as
+    inside an array.  Raises ValueError unless rtol is finite and above
+    ROUNDING_FLOOR, and when 1 << 22 terms do not meet it.
     """
     _check_degree(m)
     _check_rtol(rtol)
@@ -112,20 +108,19 @@ def symbol_lattice(m: int, omega, rtol: float = 1e-12) -> SymbolEval:
     value = np.ones_like(r)
     bound = np.zeros_like(r)
     live = np.flatnonzero(r != 0.0)
-    r_live = r[live].tolist()
-    s_live = [2.0 * abs(math.sin(0.5 * x)) for x in r_live]
+    r_live = r[live]
+    s_live = np.array([2.0 * abs(math.sin(0.5 * x)) for x in r_live.tolist()])
     first = 8
-    block = _lattice_terms(
-        np.array(r_live)[:, None], np.array(s_live)[:, None], p, first
-    )
-    for i, ri, si, vals in zip(live.tolist(), r_live, s_live, block):
-        terms = first
-        v, b = _lattice_total(ri, si, p, terms, vals)
-        while not b <= rtol * v:
+    block = _lattice_terms(r_live[:, None], s_live[:, None], p, first)
+    v, b = _lattice_total(r_live, s_live, p, first, fsum_rows(block))
+    value[live], bound[live] = v, b
+    for i in np.flatnonzero(~(b <= rtol * v)).tolist():
+        ri, si, terms, vi, bi = float(r_live[i]), float(s_live[i]), first, v[i], b[i]
+        while not bi <= rtol * vi:
             terms = _double_terms(terms, rtol)
-            v, b = _lattice_total(ri, si, p, terms, _lattice_terms(ri, si, p, terms))
-        value[i] = v
-        bound[i] = b
+            vals = _lattice_terms(ri, si, p, terms)
+            vi, bi = _lattice_total(ri, si, p, terms, math.fsum(vals.tolist()))
+        value[live[i]], bound[live[i]] = vi, bi
     return SymbolEval(
         degree=m,
         omega=restore(w),

@@ -122,6 +122,14 @@ class TestRoots:
         assert representative_roots(n).tolist() == inner
         assert len(inner) == (n - 1) // 2
 
+    def test_doubling_keeps_every_grid_point(self):
+        # the search signs only the new points of each finer grid, so the
+        # coarser grid must sit bit for bit at its even indices
+        for n in range(1, 172):
+            for k in 4 * n * 2 ** np.arange(7):
+                coarse, fine = _search_grid(n, int(k)), _search_grid(n, int(2 * k))
+                assert fine[::2].tobytes() == coarse.tobytes(), (n, k)
+
     def test_last_order_has_certified_reciprocal_pairs(self):
         # order 171, the ceiling: 170 roots, none of them -1
         n = 171

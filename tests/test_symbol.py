@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from splineineq._series import power_tail, power_tail_bound
+from splineineq._series import fsum_rows, libm_pow, power_tail, power_tail_bound
 from splineineq.symbol import ratio_L, symbol_fourier, symbol_lattice
 
 TWO_PI = 2 * math.pi
@@ -135,10 +135,11 @@ class TestSymbolLatticeArray:
         ]
     )
 
-    # m = 0 and (m = 1, rtol = 1e-14) need two or three doublings past the
-    # first 17 terms; m = 6 and 12 converge with them
+    # every degree the symbol command accepts, at its default rtol; m = 0 and
+    # (m = 1, rtol = 1e-14) need two or three doublings past the first 17
+    # terms, the other cases converge with them
     @pytest.mark.parametrize(
-        "m,rtol", [(0, 1e-12), (1, 1e-14), (1, 1e-6), (2, 1e-12), (6, 1e-13), (12, 1e-12)]
+        "m,rtol", [(1, 1e-14), (1, 1e-6), (6, 1e-13)] + [(m, 1e-12) for m in range(82)]
     )
     def test_array_matches_scalar_bit_for_bit(self, m, rtol):
         with warnings.catch_warnings():
@@ -169,6 +170,114 @@ class TestSymbolLatticeArray:
         assert grid.value.shape == grid.tail_bound.shape == (2, 3)
         assert_allclose(grid.value, symbol_fourier(2, w), rtol=1e-12)
         assert symbol_lattice(2, np.array([])).value.shape == (0,)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        m=st.integers(0, 81),
+        omega=st.lists(
+            st.floats(-50.0, 50.0, allow_nan=False, allow_subnormal=True),
+            min_size=1,
+            max_size=8,
+        ),
+    )
+    def test_scalar_matches_its_element(self, m, omega):
+        got = symbol_lattice(m, np.array(omega))
+        alone = [symbol_lattice(m, w) for w in omega]
+        assert got.value.tobytes() == np.array([e.value for e in alone]).tobytes()
+        assert got.tail_bound.tobytes() == np.array([e.tail_bound for e in alone]).tobytes()
+
+
+class TestLibmPow:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        first=st.lists(st.floats(1.0, 1e6, allow_nan=False), min_size=1, max_size=9),
+        p=st.floats(1.5, 170.0),
+    )
+    def test_array_tails_match_float_tails(self, first, p):
+        arr = np.array(first)
+        for f in (power_tail, power_tail_bound):
+            got = f(arr, TWO_PI, p)
+            assert got.tobytes() == np.array([f(x, TWO_PI, p) for x in first]).tobytes()
+        assert libm_pow(arr, -p).tolist() == [x**-p for x in first]
+
+
+def _nonnegative_rows(draw_floats):
+    return st.integers(1, 17).flatmap(
+        lambda k: st.lists(
+            st.lists(draw_floats, min_size=k, max_size=k), min_size=1, max_size=6
+        )
+    )
+
+
+# exact ties and near-ties of a leading float, zeros and subnormals
+_TIE_ROWS = [
+    [1.0, 2.0**-53, 2.0**-110],
+    [1.0, 2.0**-53],
+    [1.0 + 2.0**-52, 2.0**-53],
+    [2.0**-110, 2.0**-53, 1.0, 0.0],
+    [1.0, 2.0**-54, 2.0**-54],
+    [2.0**-1074, 2.0**-1074, 2.0**-1074],
+    [2.0**-1022, 2.0**-1074],
+    [0.0, 0.0, 0.0],
+    [0.0],
+    [3.0],
+    [0.1] * 17,
+    # the summed errors round and lose 1.3 * 2**-106, which carries the exact
+    # sum past the tie: only the bound on that error keeps the fast path off
+    [1.5, 2.0**-53 - 2.0**-106] + [2.0**-107 - 2.0**-110] * 3,
+    # a sum just under 1.0 that rounds below it: the gap under a power of two
+    # is the smaller one
+    [2.0**-107, 2.0**-108 + 2.0**-110, 2.0**-109, 1.0 - 2.0**-53, 2.0**-54 - 2.0**-106],
+]
+
+
+class TestFsumRows:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        rows=_nonnegative_rows(
+            st.one_of(
+                st.floats(0.0, 1e300, allow_nan=False, allow_subnormal=True),
+                st.floats(0.0, 1e-300, allow_subnormal=True),
+                st.sampled_from([0.0, 5e-324, 2.0**-53, 1.0, 2.0**-1022]),
+            )
+        )
+    )
+    def test_matches_fsum(self, rows):
+        got = fsum_rows(np.array(rows))
+        assert got.tolist() == [math.fsum(r) for r in rows]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        lead=st.floats(2.0**-1000, 1e300),
+        k=st.integers(0, 15),
+        tiny=st.floats(0.0, 1.0),
+    )
+    def test_matches_fsum_at_constructed_ties(self, lead, k, tiny):
+        # half an ulp of lead, then a nudge above or nothing: an exact tie,
+        # or a sum just past it, spread over k + 3 columns
+        half = math.ulp(lead) / 2
+        row = [lead, half, half * tiny * 2.0**-60] + [0.0] * k
+        got = fsum_rows(np.array([row, row[::-1]]))
+        assert got.tolist() == [math.fsum(row)] * 2
+
+    def test_ties_fall_back_to_fsum(self, monkeypatch):
+        calls = []
+        fsum = math.fsum
+
+        def counted(row):
+            calls.append(row)
+            return fsum(row)
+
+        monkeypatch.setattr(math, "fsum", counted)
+        got = fsum_rows(np.array([[1.0, 2.0**-53, 2.0**-110], [1.0, 2.0**-60, 0.5]]))
+        assert got.tolist() == [1.0 + 2.0**-52, fsum([1.0, 2.0**-60, 0.5])]
+        assert calls == [[1.0, 2.0**-53, 2.0**-110]]
+
+    @pytest.mark.parametrize("row", _TIE_ROWS)
+    def test_ties_and_subnormals(self, row):
+        # both column orders, so the tie meets the chain from either end
+        got = fsum_rows(np.array([row, row[::-1]]))
+        assert got.tolist() == [math.fsum(row)] * 2
 
 
 class TestRatio:
