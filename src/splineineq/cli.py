@@ -26,8 +26,8 @@ import numpy as np
 
 from .bernstein import extremal_ratio, sharp_constant, verify_inequality
 from .bspline import CardinalSpline, _check_degree, _check_spacing
-from .euler_frobenius import _check_ef_order, ef_roots, representative_roots
-from .euler_frobenius import symbol_via_ef
+from .euler_frobenius import _check_ef_order, _check_symbol_degree, ef_roots
+from .euler_frobenius import representative_roots, symbol_via_ef
 from .favard import favard
 from .symbol import ratio_L, symbol_fourier, symbol_lattice
 
@@ -305,7 +305,7 @@ def cmd_symbol(m: int, points: int, rtol: float = 1e-12) -> OutputRecord:
     if points < 2:
         raise UsageError("need at least two sweep points")
     # the root product's ceilings, before any route runs
-    _usage(_check_ef_order, 2 * m + 1)
+    _usage(_check_symbol_degree, m)
     grid = np.linspace(0.0, 2.0 * math.pi, points)
     efp = _usage(symbol_via_ef, m, grid)
     lat = _usage(symbol_lattice, m, grid, rtol)
@@ -465,10 +465,9 @@ def cmd_roots(n_max: int) -> OutputRecord:
         if n >= 5:
             inner = representative_roots(n - 2)
             outer = representative_roots(n)
-            ok = len(inner) + 1 == len(outer)
-            for i, r in enumerate(inner):
-                ok = ok and outer[i] < r < outer[i + 1]
-            interlaced = bool(ok)
+            interlaced = len(inner) + 1 == len(outer) and bool(
+                np.all((outer[:-1] < inner) & (inner < outer[1:]))
+            )
         for i, r in enumerate(roots):
             partner = roots[len(roots) - 1 - i]
             rows.append(
@@ -543,16 +542,14 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        status = 0
+        status, late = 0, None  # late: a usage error raised once the record is out
         if args.subcommand == "constants":
             k_max = args.max_degree if args.max_order is None else args.max_order
             record = cmd_constants(args.max_degree, k_max, args.spacing, args.rtol)
         elif args.subcommand == "symbol":
             record = cmd_symbol(args.degree, args.points, args.rtol)
-            if args.degree == 0:
-                # symbol columns alone; the requested ratio data does not
-                # exist at degree 0, which is a usage problem
-                status = 2
+            if args.degree == 0:  # the symbol columns are still written
+                late = UsageError("degree 0 has no ratio_L or is_argmax columns")
         elif args.subcommand == "verify":
             record = cmd_verify(
                 args.degree, args.order, args.spacing, args.trials, args.seed
@@ -571,6 +568,8 @@ def main(argv=None) -> int:
         except OSError as exc:  # a path that cannot be opened or written
             target = args.out or "stdout"
             raise UsageError(f"cannot write {target}: {exc.strerror or exc}") from None
+        if late:
+            raise late
         return status
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

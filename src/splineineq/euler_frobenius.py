@@ -36,16 +36,19 @@ def ef_coefficients_exact(n: int) -> tuple[int, ...]:
 
 
 def _check_ef_order(n: int) -> None:
-    """Reject an order above 171, the last whose coefficients are floats.
-
-    The root search needs no coefficient bound; the ceiling keeps ef_roots
-    to polynomials a float table can hold, at O(1) cost.  Order 173 is the
-    first odd order past it, the symbol's order at degree 86.
-    """
+    """Reject, in O(1), an order above 171, the last whose coefficients are
+    floats: the root search needs no coefficient bound, but a table does."""
     if n > 171:
         raise ValueError(
             f"order {n} is too high: its largest coefficient exceeds the float range"
         )
+
+
+def _check_symbol_degree(m: int) -> None:
+    """The order rule on 2m+1, then in O(1) the degrees _symbol_factors refuses."""
+    _check_ef_order(2 * m + 1)
+    if m > 81:
+        raise ValueError(f"degree {m} is too high: the root product underflows at pi")
 
 
 def _exact_sign(coeffs: tuple[int, ...], x: float) -> int:
@@ -157,6 +160,7 @@ def symbol_via_ef(m: int, omega):
     from degree 82 on, where the product at π is no longer a normal float.
     """
     _check_degree(m)
+    _check_symbol_degree(m)
     w, restore = _prepare(omega)
     reps, norm = _symbol_factors(m)  # no factors and norm 1.0 at m = 0
     out = np.full_like(w, norm)

@@ -57,18 +57,15 @@ def symbol_fourier(m: int, omega):
     return restore(out)
 
 
-def _lattice_terms(r, s, p: float, terms: int) -> Array:
-    """Terms l = -terms..terms; r and s are floats or (n, 1) columns."""
+def _lattice_terms(r: Array, s: Array, p: float, terms: int) -> Array:
+    """Terms l = -terms..terms, one row per (n, 1) column entry of r and s."""
     ls = np.arange(-terms, terms + 1, dtype=np.float64)
     return (s / np.abs(r + _TWO_PI * ls)) ** p
 
 
-def _lattice_total(r, s, p: float, terms: int, partial) -> tuple:
-    """``partial``, the sum of the explicit terms, plus both tail estimates,
-    with the tails' error bound; every argument but p and terms is a float
-    or a 1-D array.  The powers go through libm, so a frequency gets the
-    same bits alone as inside an array.
-    """
+def _lattice_total(r: Array, s: Array, p: float, terms: int, partial: Array) -> tuple:
+    """``partial``, the row sums of the explicit terms, plus both tails, and
+    the tails' error bound; the tails' powers are libm's (libm_pow)."""
     first_up = r + _TWO_PI * (terms + 1)
     first_dn = -(r - _TWO_PI * (terms + 1))
     sp = libm_pow(s, p)
@@ -77,6 +74,11 @@ def _lattice_total(r, s, p: float, terms: int, partial) -> tuple:
         power_tail_bound(first_up, _TWO_PI, p) + power_tail_bound(first_dn, _TWO_PI, p)
     )
     return partial + tail, bound
+
+
+# Frequencies summed together.  Above the rounding floor every p >= 2 meets
+# rtol within 128 terms, so no block is wider than ROWS x 257.
+ROWS = 1024
 
 
 def symbol_lattice(m: int, omega, rtol: float = 1e-12) -> SymbolEval:
@@ -88,13 +90,11 @@ def symbol_lattice(m: int, omega, rtol: float = 1e-12) -> SymbolEval:
     tails are estimated by Euler-Maclaurin with an enveloping remainder;
     the number of explicit terms doubles until the bound meets rtol.
 
-    Accepts a scalar or an array of frequencies.  One array pass finishes
-    every frequency with its first 17 terms: their correctly rounded row
-    sum (the terms are finite and non-negative, as fsum_rows requires)
-    plus both tails.  Only frequencies that miss rtol go on to the
-    doubling, one at a time.  A frequency gets the same result alone as
-    inside an array.  Raises ValueError unless rtol is finite and above
-    ROUNDING_FLOOR, and when 1 << 22 terms do not meet it.
+    A scalar or an array of frequencies takes one loop over chunks of ROWS:
+    each pass adds both tails to the row sums of the chunk's terms (finite
+    and non-negative, as fsum_rows requires), and only the frequencies that
+    miss rtol go on, with twice the terms.  Raises ValueError unless rtol is
+    finite and above ROUNDING_FLOOR, and when 1 << 22 terms do not meet it.
     """
     _check_degree(m)
     _check_rtol(rtol)
@@ -103,24 +103,21 @@ def symbol_lattice(m: int, omega, rtol: float = 1e-12) -> SymbolEval:
     # Reduce to the principal period first: IEEE remainder is exact, and
     # it keeps every lattice denominator safely away from zero.
     r = np.array([math.remainder(x, _TWO_PI) for x in w.tolist()])
+    s = np.array([2.0 * abs(math.sin(0.5 * x)) for x in r.tolist()])
     # At a lattice frequency every term but one vanishes and the surviving
     # limit is exactly 1.
-    value = np.ones_like(r)
-    bound = np.zeros_like(r)
+    value, bound = np.ones_like(r), np.zeros_like(r)
     live = np.flatnonzero(r != 0.0)
-    r_live = r[live]
-    s_live = np.array([2.0 * abs(math.sin(0.5 * x)) for x in r_live.tolist()])
-    first = 8
-    block = _lattice_terms(r_live[:, None], s_live[:, None], p, first)
-    v, b = _lattice_total(r_live, s_live, p, first, fsum_rows(block))
-    value[live], bound[live] = v, b
-    for i in np.flatnonzero(~(b <= rtol * v)).tolist():
-        ri, si, terms, vi, bi = float(r_live[i]), float(s_live[i]), first, v[i], b[i]
-        while not bi <= rtol * vi:
+    for start in range(0, live.size, ROWS):
+        rows, terms = live[start : start + ROWS], 8
+        while True:
+            block = _lattice_terms(r[rows, None], s[rows, None], p, terms)
+            v, b = _lattice_total(r[rows], s[rows], p, terms, fsum_rows(block))
+            value[rows], bound[rows] = v, b
+            rows = rows[~(b <= rtol * v)]
+            if not rows.size:
+                break
             terms = _double_terms(terms, rtol)
-            vals = _lattice_terms(ri, si, p, terms)
-            vi, bi = _lattice_total(ri, si, p, terms, math.fsum(vals.tolist()))
-        value[live[i]], bound[live[i]] = vi, bi
     return SymbolEval(
         degree=m,
         omega=restore(w),

@@ -10,7 +10,6 @@ import math
 import os
 import subprocess
 import sys
-import threading
 from collections import Counter
 from pathlib import Path
 
@@ -466,10 +465,13 @@ class TestMain:
 
     def test_symbol_degree_zero_exits_two_but_emits(self, capsys):
         code = main(["symbol", "--degree", "0", "--points", "3"])
-        out = capsys.readouterr().out
+        captured = capsys.readouterr()
         assert code == 2
-        record = parse_record(out, "json-lines")
+        record = parse_record(captured.out, "json-lines")
         assert len(record.rows) == 3
+        assert captured.err == (
+            "error: degree 0 has no ratio_L or is_argmax columns\n"
+        )
 
     @pytest.mark.parametrize(
         "argv,order",
@@ -507,6 +509,21 @@ class TestMain:
         assert captured.out == ""
         assert captured.err == (
             "error: degree 82 is too high: the root product underflows at pi\n"
+        )
+
+    @pytest.mark.parametrize("m", [82, 85])
+    def test_degree_past_81_refused_before_any_root_search(
+        self, monkeypatch, capsys, m
+    ):
+        def searched(n):
+            raise AssertionError(f"ef_roots({n}) was called")
+
+        monkeypatch.setattr(euler_frobenius, "ef_roots", searched)
+        assert main(["symbol", "--degree", str(m), "--points", "3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: degree {m} is too high: the root product underflows at pi\n"
         )
 
     def test_usage_error_exit(self, capsys):
@@ -648,6 +665,11 @@ GOLDEN = [
      "b5efd41ce7da97a24852dcc1430117c8193c5a513795713fb7f996edb1bb5bfb"),
     ("symbol --degree 12 --points 4097", "json-lines",
      "62f605c28da30abb4003c0fa1466a43686fd7eb359a6e1ae773c9dd511431148"),
+    # every frequency doubles its terms past the first 17, in four chunks
+    ("symbol --degree 0 --points 4097 --rtol 4.01e-16", "json-lines",
+     "b42b73293a360086f0d8e1852745decdb66d94e4a687b2f9863d5d23c037f621"),
+    ("symbol --degree 1 --points 4097 --rtol 1e-14", "json-lines",
+     "241e74d827348bcc5061d4f6c0b36ff58220e8b3d07f7d94bd3c10362e8b113d"),
     ("constants --max-degree 3", "csv",
      "0d5c5632646e55114fc766f9b959b44dbae2eb38295877c927c68646441eced9"),
     ("constants --max-degree 4 --max-order 2 --spacing 0.5 --rtol 1e-10", "csv",
@@ -672,6 +694,10 @@ GOLDEN = [
      "a54db513e8d39ed0090591990fc86df5b1d210e892fe75f63bf6ed0f583db7ba"),
     ("symbol --degree 12 --points 4097", "csv",
      "8c45457822aeea3ae00d3c6f32b87735c7444b456231313b997ac1196428085c"),
+    ("symbol --degree 0 --points 4097 --rtol 4.01e-16", "csv",
+     "ecdcb9482512061f4c18074784587216800a66397a0d25c1690d2ed7b0c9fb35"),
+    ("symbol --degree 1 --points 4097 --rtol 1e-14", "csv",
+     "a98b30492115bdbb9638f7aae679344fe624a92d568bc8962cdd3cfaeb287024"),
 ]
 
 
@@ -1031,87 +1057,29 @@ def numpy_seeded_audit(trials: int, seed: int) -> str:
 
 
 class TestSplitDraw:
-    """verify's draw is never split: one process, the same bytes on any CPUs."""
-
-    @pytest.fixture(autouse=True)
-    def no_child_left(self):
-        yield
-        # a forked child not reaped would be a zombie child of this process
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
-
-    @pytest.fixture
-    def forks(self, monkeypatch):
-        """The number of os.fork calls made in this process."""
-        calls = []
-        real = os.fork
-
-        def counting():
-            calls.append(os.getpid())
-            return real()
-
-        monkeypatch.setattr(os, "fork", counting)
-        return calls
+    """verify's draw is never split: the same bytes on any CPU count."""
 
     @staticmethod
-    def check_audit(forks: list, trials: int, seed: int) -> None:
+    def check_audit(trials: int, seed: int) -> None:
         got = cmd_verify(*AUDIT, trials, seed)
-        assert forks == []
         assert render_record(got, "json-lines") == numpy_seeded_audit(trials, seed)
 
     @pytest.mark.parametrize("seed", [0, 7])
     @pytest.mark.parametrize("trials", [2047, 2048, 2049, 4097, 20000])
     @pytest.mark.parametrize("cpus", [1, 2, 3, 8])
-    def test_matches_per_trial_loop(self, monkeypatch, forks, cpus, trials, seed):
+    def test_matches_per_trial_loop(self, monkeypatch, cpus, trials, seed):
         monkeypatch.setattr(bspline, "_usable_cpus", lambda: cpus)
-        self.check_audit(forks, trials, seed)
+        self.check_audit(trials, seed)
 
-    def test_real_affinity(self, forks):
-        self.check_audit(forks, 4097, 7)
+    def test_real_affinity(self):
+        self.check_audit(4097, 7)
 
     @pytest.mark.parametrize("cpus", [2, 8])
-    def test_1500_trials_stay_in_one_process(self, monkeypatch, forks, cpus):
+    def test_1500_trials_stay_in_one_process(self, monkeypatch, cpus):
         monkeypatch.setattr(bspline, "_usable_cpus", lambda: cpus)
-        self.check_audit(forks, 1500, 0)
+        self.check_audit(1500, 0)
 
-    def test_no_fork_beside_another_thread(self, monkeypatch, forks):
-        monkeypatch.setattr(bspline, "_usable_cpus", lambda: 2)
-        release = threading.Event()
-        other = threading.Thread(target=release.wait)
-        other.start()
-        try:
-            self.check_audit(forks, 4097, 7)
-        finally:
-            release.set()
-            other.join(timeout=10)
-        assert not other.is_alive()
-
-    def test_reports_lowest_failing_trial_a_worker_drew(self, monkeypatch, forks):
-        # trials 2048..4096 were once a worker's share; two forged failures
-        # there, the lower-numbered one in the later-checked stack
-        monkeypatch.setattr(bspline, "_usable_cpus", lambda: 2)
-        trials, seed = 4097, 4
-        counts = np.random.default_rng(seed).integers(1, 41, size=trials).tolist()
-        first = next(i for i in range(2100, trials) if counts[i] > 1)
-        later = next(i for i in range(first + 1, trials) if counts[i] < counts[first])
-        bad = [
-            np.random.default_rng(seed + i + 1).uniform(-1.0, 1.0, size=counts[i])
-            for i in (first, later)
-        ]
-
-        def failing(s, k):
-            rows = s.coeffs.reshape(-1, s.coeffs.shape[-1])
-            for b in bad:
-                if b.size == rows.shape[1] and (rows == b).all(axis=1).any():
-                    raise ValueError("forged failure")
-            return verify_inequality(s, k)
-
-        monkeypatch.setattr(cli, "verify_inequality", failing)
-        with pytest.raises(cli.UsageError, match=f"^trial {first}: forged failure$"):
-            cmd_verify(2, 1, 1.0, trials, seed)
-        assert forks == []
-
-    def test_size_no_memory_can_hold(self, monkeypatch, forks):
+    def test_size_no_memory_can_hold(self, monkeypatch):
         # 4096 trials of 2^38 coefficients each: the draw buffer (8 PiB) is
         # refused at once; main turns the MemoryError into exit 2
         # (TestOutOfMemory)
@@ -1124,7 +1092,6 @@ class TestSplitDraw:
         monkeypatch.setattr(np.random, "default_rng", lambda seed: HugeCounts())
         with pytest.raises(MemoryError):
             cmd_verify(*AUDIT, 4096, 0)
-        assert forks == []
 
 
 def test_layers_the_bench_tracer_wraps_are_reached(monkeypatch):

@@ -12,6 +12,7 @@ from splineineq.cli import main
 from splineineq.euler_frobenius import (
     _exact_sign,
     _search_grid,
+    _symbol_factors,
     ef_coefficients_exact,
     ef_roots,
     representative_roots,
@@ -220,8 +221,11 @@ class TestSymbolProduct:
             symbol_via_ef(-1, 0.5)
 
     def test_degree_82_underflows(self):
-        # its product at π passes 2.0e-310, below the least normal float
+        # its product at π passes 2.0e-310, below the least normal float:
+        # the scan over the roots finds what the O(1) check refuses
         message = "^degree 82 is too high: the root product underflows at pi$"
+        with pytest.raises(ValueError, match=message):
+            _symbol_factors(82)
         with pytest.raises(ValueError, match=message):
             symbol_via_ef(82, 0.5)
 

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from splineineq import symbol as symbol_module
 from splineineq._series import fsum_rows, libm_pow, power_tail, power_tail_bound
 from splineineq.symbol import ratio_L, symbol_fourier, symbol_lattice
 
@@ -154,6 +155,31 @@ class TestSymbolLatticeArray:
         ref = np.array([lattice_reference(m, float(w), rtol) for w in self.OMEGA])
         assert got.value.tobytes() == ref[:, 0].tobytes()
         assert got.tail_bound.tobytes() == ref[:, 1].tobytes()
+
+    @pytest.mark.parametrize("rows", [1, 7])
+    def test_chunks_change_no_bit(self, monkeypatch, rows):
+        # degree 0 near the floor doubles every frequency, so each chunk
+        # keeps a different set of live rows through its passes
+        want = symbol_lattice(0, self.OMEGA, 4.01e-16)
+        monkeypatch.setattr(symbol_module, "ROWS", rows)
+        got = symbol_lattice(0, self.OMEGA, 4.01e-16)
+        assert got.value.tobytes() == want.value.tobytes()
+        assert got.tail_bound.tobytes() == want.tail_bound.tobytes()
+
+    @pytest.mark.parametrize("m", [0, 1, 2, 12])
+    def test_no_block_wider_than_257_terms(self, monkeypatch, m):
+        widths = []
+        real = symbol_module._lattice_terms
+
+        def recorded(r, s, p, terms):
+            block = real(r, s, p, terms)
+            widths.append(block.shape[1])
+            return block
+
+        monkeypatch.setattr(symbol_module, "_lattice_terms", recorded)
+        grid = np.linspace(-TWO_PI, TWO_PI, 4097)[1:-1]
+        symbol_lattice(m, np.append(grid, [1e-300, math.pi]), 4.0000001e-16)
+        assert max(widths) <= 257
 
     def test_lattice_points_exact(self):
         got = symbol_lattice(3, np.array([0.0, TWO_PI, -4 * math.pi]))
