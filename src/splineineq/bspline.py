@@ -28,8 +28,13 @@ def _prepare(x) -> tuple[Array, Callable[[Array], float | Array]]:
     """x as a flat float64 vector, and ``restore``, which gives a result
     computed on that vector the form of x: a float for a scalar x (a Python
     number or a 0-d array), an array of x's shape otherwise.
+
+    Raises ValueError if any entry of x is NaN or infinite, before any
+    work on x: a point or frequency must be finite.
     """
     arr = np.asarray(x, dtype=np.float64)
+    if not np.isfinite(arr).all():
+        raise ValueError("points and frequencies must be finite")
 
     def restore(out: Array) -> float | Array:
         return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
@@ -150,26 +155,6 @@ def _basis_window(m: int, u: Array) -> tuple[npt.NDArray[np.int64], Array]:
     return j0, w
 
 
-def eval_bspline(m: int, x):
-    """Evaluate the degree-m cardinal B-spline N_m at x (scalar or array).
-
-    N_m is supported on [0, m+1], nonnegative, integrates to 1, and its
-    integer shifts form a partition of unity.  Evaluation uses the two-term
-    degree recurrence, which stays stable where the alternating
-    truncated-power sum cancels catastrophically.  Piecewise-constant
-    pieces (m = 0) are taken right-continuous.
-    """
-    _check_degree(m)
-    u, restore = _prepare(x)
-    out = np.zeros_like(u)
-    inside = (u >= 0.0) & (u < m + 1.0)
-    if np.any(inside):
-        j0, w = _basis_window(m, u[inside])
-        # the shift g = 0 sits at column m - j0
-        out[inside] = w[np.arange(j0.size), m - j0]
-    return restore(out)
-
-
 @lru_cache(maxsize=None)
 def _scaled_integer_samples(n: int) -> tuple[int, ...]:
     """n! * N_n(j) for j = 1..n, exact integers.
@@ -279,15 +264,34 @@ def _require_single(s: CardinalSpline) -> None:
 
 
 def spline_eval(s: CardinalSpline, x):
-    """Evaluate the spline at x; only the ≤ m+1 overlapping shifts are used."""
+    """Evaluate the spline at x: +0.0 outside its support, and inside it
+    only the ≤ m+1 overlapping shifts are used."""
     _require_single(s)
     u, restore = _prepare(x)
-    c = s.coeffs
-    if c.size == 0:
-        return restore(np.zeros_like(u))
-    m = s.degree
-    j0, w = _basis_window(m, u / s.knot_spacing)
-    idx = j0[:, None] - m + np.arange(m + 1) - s.offset
-    valid = (idx >= 0) & (idx < c.size)
-    gathered = np.where(valid, c[np.clip(idx, 0, c.size - 1)], 0.0)
-    return restore(np.einsum("ij,ij->i", w, gathered))
+    c, m, offset = s.coeffs, s.degree, s.offset
+    out = np.zeros_like(u)
+    with np.errstate(over="ignore"):  # a huge x lands outside, unwarned
+        v = u / s.knot_spacing
+    # the support in knot space: the offset is compared with v, never
+    # subtracted from it, so a point's window does not depend on the offset
+    inside = (v >= offset) & (v < offset + c.size + m)
+    if c.size and inside.any():
+        j0, w = _basis_window(m, v[inside])
+        idx = j0[:, None] - m + np.arange(m + 1) - offset
+        valid = (idx >= 0) & (idx < c.size)
+        gathered = np.where(valid, c[np.clip(idx, 0, c.size - 1)], 0.0)
+        out[inside] = np.einsum("ij,ij->i", w, gathered)
+    return restore(out)
+
+
+def eval_bspline(m: int, x):
+    """Evaluate the degree-m cardinal B-spline N_m at x (scalar or array).
+
+    N_m is supported on [0, m+1], nonnegative, integrates to 1, and its
+    integer shifts form a partition of unity.  Evaluation uses the two-term
+    degree recurrence, which stays stable where the alternating
+    truncated-power sum cancels catastrophically.  Piecewise-constant
+    pieces (m = 0) are taken right-continuous.  N_m is the one-coefficient
+    series on unit knots, so this is spline_eval's path.
+    """
+    return spline_eval(CardinalSpline(degree=m, knot_spacing=1.0, coeffs=[1.0]), x)

@@ -13,11 +13,30 @@ import numpy as np
 
 from splineineq.bspline import (
     Array,
+    _basis_window,
     _check_degree,
     _prepare,
     _scaled_integer_samples,
     eval_bspline,
 )
+
+
+def eval_bspline_window(m: int, x):
+    """N_m at x by its own window gather: the oracle for eval_bspline.
+
+    The package's eval_bspline is spline_eval of the one-coefficient
+    series; this reads the shift g = 0 straight out of the degree
+    recurrence's window on the support [0, m+1) and writes 0.0 elsewhere.
+    """
+    _check_degree(m)
+    u, restore = _prepare(x)
+    out = np.zeros_like(u)
+    inside = (u >= 0.0) & (u < m + 1.0)
+    if np.any(inside):
+        j0, w = _basis_window(m, u[inside])
+        # the shift g = 0 sits at column m - j0
+        out[inside] = w[np.arange(j0.size), m - j0]
+    return restore(out)
 
 
 def bspline_derivative(m: int, x):

@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from bspline_extras import bspline_derivative, integer_samples
+from bspline_extras import bspline_derivative, eval_bspline_window, integer_samples
 from splineineq.bspline import (
     CardinalSpline,
     eval_bspline,
@@ -36,6 +36,25 @@ def eval_bspline_truncpow(m: int, x: float) -> float:
 
 
 class TestEvalBspline:
+    @pytest.mark.parametrize("m", range(21))
+    def test_bytes_match_window_oracle(self, m):
+        # eval_bspline is spline_eval of one coefficient; the oracle reads
+        # the shift g = 0 out of the window on [0, m+1) directly
+        knots = np.arange(-2.0, m + 4.0)
+        x = np.concatenate(
+            [
+                np.random.default_rng(m).uniform(-2.0, m + 3.0, 2000),
+                knots,
+                np.nextafter(knots, -np.inf),
+                np.nextafter(knots, np.inf),
+                [0.0, -0.0, 1e300, -1e300, 2.0**63, -(2.0**63)],
+            ]
+        )
+        assert eval_bspline(m, x).tobytes() == eval_bspline_window(m, x).tobytes()
+        for v in x[-40:].tolist():
+            assert eval_bspline(m, v) == eval_bspline_window(m, v)
+            assert math.copysign(1.0, eval_bspline(m, v)) == 1.0
+
     def test_degree_zero_is_right_continuous_indicator(self):
         assert eval_bspline(0, 0.0) == 1.0
         assert eval_bspline(0, 0.5) == 1.0

@@ -993,12 +993,12 @@ class TestBatchedVerify:
         with pytest.raises(cli.UsageError, match="^trial 0: forged failure$"):
             cmd_verify(2, 1, 1.0, trials, seed)
 
-    def test_reports_lowest_failing_trial_past_trial_1024(self, monkeypatch):
+    def test_reports_lowest_failing_trial_checked_after_another(self, monkeypatch):
         # two forged failing trials: the lower-numbered one has the larger
         # count, so its stack is checked after the other's
         trials, seed = 1500, 4
         counts = np.random.default_rng(seed).integers(1, 41, size=trials).tolist()
-        first = next(i for i in range(1100, trials) if counts[i] > 1)
+        first = next(i for i in range(1, trials) if counts[i] > 1)
         later = next(i for i in range(first + 1, trials) if counts[i] < counts[first])
         bad = [
             np.random.default_rng(seed + i + 1).uniform(-1.0, 1.0, size=counts[i])
@@ -1071,20 +1071,10 @@ class TestSplitDraw:
         monkeypatch.setattr(bspline, "_usable_cpus", lambda: cpus)
         self.check_audit(trials, seed)
 
-    def test_real_affinity(self):
-        self.check_audit(4097, 7)
-
-    @pytest.mark.parametrize("cpus", [2, 8])
-    def test_1500_trials_stay_in_one_process(self, monkeypatch, cpus):
-        monkeypatch.setattr(bspline, "_usable_cpus", lambda: cpus)
-        self.check_audit(1500, 0)
-
     def test_size_no_memory_can_hold(self, monkeypatch):
         # 4096 trials of 2^38 coefficients each: the draw buffer (8 PiB) is
         # refused at once; main turns the MemoryError into exit 2
         # (TestOutOfMemory)
-        monkeypatch.setattr(bspline, "_usable_cpus", lambda: 8)
-
         class HugeCounts:
             def integers(self, low, high, size):
                 return np.full(size, 1 << 38, dtype=np.int64)

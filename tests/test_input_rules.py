@@ -1,5 +1,5 @@
-"""One contract per input: argument shape, degree, spacing, derivative order,
-rtol.
+"""One contract per input: argument shape, point, degree, spacing, derivative
+order, rtol.
 
 Every entry point that takes the same kind of input must treat it the same
 way and, when it refuses it, say so in the same words.
@@ -90,6 +90,53 @@ class TestShapeContract:
             assert got.shape == shape
         flat = np.asarray(x, dtype=np.float64).ravel().tolist()
         assert bits(got) == bits([fn(v) for v in flat])
+
+
+POINT = "points and frequencies must be finite"
+# the six elementwise functions whose points or frequencies _prepare reads,
+# and calling a spline
+POINTWISE = {
+    name: ELEMENTWISE[name]
+    for name in (
+        "eval_bspline",
+        "spline_eval",
+        "symbol_fourier",
+        "ratio_L",
+        "symbol_via_ef",
+        "symbol_lattice",
+    )
+}
+POINTWISE["CardinalSpline.__call__"] = SPLINE
+
+
+class TestPointRule:
+    @pytest.mark.parametrize("shape", ["scalar", "array"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", POINTWISE)
+    def test_one_message_before_any_work(self, monkeypatch, name, bad, shape):
+        # a NaN frequency used to run the lattice sum to its 2^22-term cap
+        # (about 1.5 min on a 2-vCPU VM) and report a missed rtol
+        def no_terms(*args):
+            raise AssertionError("summed lattice terms for a non-finite frequency")
+
+        monkeypatch.setattr(symbol_module, "_lattice_terms", no_terms)
+        x = bad if shape == "scalar" else np.array([[0.3, 1.25], [bad, 3.9]])
+        with pytest.raises(ValueError) as info:
+            POINTWISE[name](x)
+        assert str(info.value) == POINT
+
+    def test_far_points_are_outside(self):
+        # the suite turns a RuntimeWarning into an error: x / spacing past
+        # the float range, or floor(x / spacing) past int64, must warn of
+        # nothing, and each such point gets +0.0
+        s = CardinalSpline(degree=3, knot_spacing=0.5, coeffs=[1.0, -2.0, 0.5])
+        far = [1e300, -1e300, 2.0**63 * 0.5, -(2.0**63) * 0.5, 2.0**64]
+        assert bits(spline_eval(s, far)) == bits(np.zeros(len(far)))
+        for x in far:
+            assert bits(spline_eval(s, x)) == bits(0.0)
+        fine = CardinalSpline(degree=3, knot_spacing=1e-10, coeffs=[1.0, -2.0, 0.5])
+        assert bits(fine([1e300, -1e300])) == bits([0.0, 0.0])
+        assert bits(eval_bspline(3, far)) == bits(np.zeros(len(far)))
 
 
 SPACING = "spacing must be a positive finite number"
