@@ -15,6 +15,8 @@ __all__ = ["ROUNDING_FLOOR", "fsum_rows", "libm_pow", "power_tail", "power_tail_
 # tolerance at or below it can never be met.
 ROUNDING_FLOOR = 4e-16
 
+MAX_TERMS = 1 << 22  # terms in the last pass a series loop may sum
+
 
 def _check_rtol(rtol: float) -> None:
     """Reject an rtol unless it is finite and above ROUNDING_FLOOR."""
@@ -24,10 +26,15 @@ def _check_rtol(rtol: float) -> None:
 
 
 def _double_terms(terms: int, rtol: float) -> int:
-    """Twice ``terms``, for a loop that missed rtol; raises at 1 << 22 terms."""
-    if terms >= 1 << 22:
-        raise ValueError(f"series missed rtol {rtol!r} after {terms} terms")
+    """Twice ``terms``, for a loop that missed rtol; raises at MAX_TERMS."""
+    if terms >= MAX_TERMS:
+        raise _missed(rtol)
     return 2 * terms
+
+
+def _missed(rtol: float) -> ValueError:
+    """The error of a series loop whose last pass cannot meet rtol."""
+    return ValueError(f"series missed rtol {rtol!r} after {MAX_TERMS} terms")
 
 
 def libm_pow(x, y: float):

@@ -159,16 +159,14 @@ def _basis_window(m: int, u: Array) -> tuple[npt.NDArray[np.int64], Array]:
 def _scaled_integer_samples(n: int) -> tuple[int, ...]:
     """n! * N_n(j) for j = 1..n, exact integers.
 
-    At integer arguments the truncated-power sum is pure integer
-    arithmetic, so there is no cancellation loss.
+    ``T_d(j) = d! N_d(j)`` obeys the degree recurrence ``T_d(j) = j T_{d-1}(j)
+    + (d+1-j) T_{d-1}(j-1)``, whose terms are non-negative: nothing cancels.
     """
-    out = []
-    for j in range(1, n + 1):
-        s = 0
-        for k in range(0, min(j, n + 2)):
-            s += (-1) ** k * math.comb(n + 1, k) * (j - k) ** n
-        out.append(s)
-    return tuple(out)
+    t = [1] if n else []  # T_1(1) = 1
+    for d in range(2, n + 1):
+        prev = [0, *t, 0]  # T_{d-1}(j) for j = 0..d; N_{d-1} is 0 at 0 and d
+        t = [j * prev[j] + (d + 1 - j) * prev[j - 1] for j in range(1, d + 1)]
+    return tuple(t)
 
 
 @lru_cache(maxsize=None)
@@ -196,13 +194,13 @@ def gram_autocorrelation(m: int) -> Array:
 class CardinalSpline:
     """Finite B-spline series on a uniform knot lattice of spacing Δ.
 
-    Represents ``s(x) = sum_j coeffs[j] * N_m(x/Δ - (offset + j))``: a
-    piecewise polynomial of degree ≤ m on each knot interval with m-1
-    continuous derivatives, automatically in L2 because the coefficient
-    support is finite.
+    Represents ``s(x) = sum_j coeffs[j] * N_m(x/Δ - j)``, supported on
+    ``[0, Δ(n + m)]``: a piecewise polynomial of degree ≤ m on each knot
+    interval with m-1 continuous derivatives.  A spline shifted by o knots
+    is this one at ``x - oΔ``, and no norm depends on the shift.
 
     ``coeffs`` of shape ``(batch, n)`` is a stack of splines that share
-    degree, spacing and offset, one per row; derivatives, norms and the
+    degree and spacing, one per row; derivatives, norms and the
     inequality check act row by row, while evaluation needs a single
     spline.  Coefficients must be finite.
     """
@@ -210,7 +208,6 @@ class CardinalSpline:
     degree: int
     knot_spacing: float
     coeffs: Array
-    offset: int = 0
 
     def __post_init__(self) -> None:
         _check_degree(self.degree)
@@ -231,14 +228,11 @@ class CardinalSpline:
         c.setflags(write=False)
         object.__setattr__(self, "coeffs", c)
         object.__setattr__(self, "knot_spacing", float(self.knot_spacing))
-        object.__setattr__(self, "offset", int(self.offset))
 
     @property
     def support(self) -> tuple[float, float]:
         """Smallest closed interval outside which the spline (every row) vanishes."""
-        lo = self.knot_spacing * self.offset
-        hi = self.knot_spacing * (self.offset + self.coeffs.shape[-1] + self.degree)
-        return (lo, hi)
+        return (0.0, self.knot_spacing * (self.coeffs.shape[-1] + self.degree))
 
     def __call__(self, x):
         return spline_eval(self, x)
@@ -268,16 +262,14 @@ def spline_eval(s: CardinalSpline, x):
     only the ≤ m+1 overlapping shifts are used."""
     _require_single(s)
     u, restore = _prepare(x)
-    c, m, offset = s.coeffs, s.degree, s.offset
+    c, m = s.coeffs, s.degree
     out = np.zeros_like(u)
     with np.errstate(over="ignore"):  # a huge x lands outside, unwarned
         v = u / s.knot_spacing
-    # the support in knot space: the offset is compared with v, never
-    # subtracted from it, so a point's window does not depend on the offset
-    inside = (v >= offset) & (v < offset + c.size + m)
+    inside = (v >= 0) & (v < c.size + m)  # the support in knot space
     if c.size and inside.any():
         j0, w = _basis_window(m, v[inside])
-        idx = j0[:, None] - m + np.arange(m + 1) - offset
+        idx = j0[:, None] - m + np.arange(m + 1)
         valid = (idx >= 0) & (idx < c.size)
         gathered = np.where(valid, c[np.clip(idx, 0, c.size - 1)], 0.0)
         out[inside] = np.einsum("ij,ij->i", w, gathered)

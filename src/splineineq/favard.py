@@ -8,7 +8,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ._series import ROUNDING_FLOOR, _check_rtol, _double_terms
+from ._series import MAX_TERMS, ROUNDING_FLOOR, _check_rtol, _double_terms, _missed
 from ._series import power_tail, power_tail_bound
 
 __all__ = ["ROUNDING_FLOOR", "FavardConstant", "favard"]
@@ -52,6 +52,9 @@ def favard(m: int, rtol: float = 1e-12) -> FavardConstant:
     # odd m: the positive series sum (2l+1)^(-p); even m: the alternating
     # series sum (-1)^l (2l+1)^(-p)
     odd = m % 2 == 1
+    # |value| <= 4/pi: where the last pass's bound misses rtol, every pass does
+    if not odd and (2.0 * MAX_TERMS + 1.0) ** -p > rtol - ROUNDING_FLOOR:
+        raise _missed(rtol)
     sign = 1.0 if odd else -1.0
     terms = 32 if odd else 8
     while True:

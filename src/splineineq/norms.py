@@ -54,8 +54,8 @@ def derivative_coeffs(s: CardinalSpline, k: int) -> CardinalSpline:
 
     Each order is one backward difference of the zero-padded coefficients
     divided by the knot spacing, so len grows by one per order; k may not
-    exceed the degree.  The k-fold difference keeps the leading knot
-    fixed, so spacing and offset carry over, and orders compose:
+    exceed the degree.  The k-fold difference keeps the leading knot at
+    the origin, so the spacing carries over, and orders compose:
     differentiating i times and then j times gives the same floats as
     differentiating i + j times.  A (batch, n) stack is differenced row
     by row.
@@ -80,9 +80,7 @@ def derivative_coeffs(s: CardinalSpline, k: int) -> CardinalSpline:
             if h != 1.0:  # dividing by 1.0 changes no bit, not even of -0.0
                 _in_slices(np.divide, d, h, d)
             c = d
-    return CardinalSpline(
-        degree=s.degree - k, knot_spacing=h, coeffs=c, offset=s.offset
-    )
+    return CardinalSpline(degree=s.degree - k, knot_spacing=h, coeffs=c)
 
 
 def l2_norm_sq(s: CardinalSpline) -> float | Array:
@@ -183,13 +181,12 @@ def l2_norm_sq_quadrature(s: CardinalSpline) -> float:
     """
     _require_spline(s)
     _require_single(s)
-    lo, hi = s.support
     cells = len(s.coeffs) + s.degree
     if cells <= 0:
         return 0.0
     nodes, weights = np.polynomial.legendre.leggauss(s.degree + 1)
     h = s.knot_spacing
-    edges = lo + h * np.arange(cells)
+    edges = h * np.arange(cells)  # the support starts at 0.0
     # map reference nodes into every cell at once
     x = edges[:, None] + 0.5 * h * (nodes[None, :] + 1.0)
     return float(0.5 * h * np.sum(s(x) ** 2 @ weights))

@@ -50,6 +50,22 @@ def bspline_derivative(m: int, x):
     return restore(eval_bspline(m - 1, u) - eval_bspline(m - 1, u - 1.0))
 
 
+def scaled_integer_samples_by_powers(n: int) -> tuple[int, ...]:
+    """n! * N_n(j) for j = 1..n by the truncated-power sum.
+
+    The oracle for the package's degree recurrence: at integer arguments
+    the alternating sum is exact integer arithmetic, but each sample takes
+    up to n + 1 n-th powers.
+    """
+    out = []
+    for j in range(1, n + 1):
+        s = 0
+        for k in range(0, min(j, n + 2)):
+            s += (-1) ** k * math.comb(n + 1, k) * (j - k) ** n
+        out.append(s)
+    return tuple(out)
+
+
 def integer_samples(m: int) -> Array:
     """Interior integer samples [N_m(1), ..., N_m(m)]; empty for m = 0.
 

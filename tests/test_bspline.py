@@ -8,9 +8,15 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from bspline_extras import bspline_derivative, eval_bspline_window, integer_samples
+from bspline_extras import (
+    bspline_derivative,
+    eval_bspline_window,
+    integer_samples,
+    scaled_integer_samples_by_powers,
+)
 from splineineq.bspline import (
     CardinalSpline,
+    _scaled_integer_samples,
     eval_bspline,
     gram_autocorrelation,
     spline_eval,
@@ -167,6 +173,16 @@ class TestIntegerSamples:
         assert_allclose(s, s[::-1], rtol=0, atol=0)
         assert float(np.sum(s)) == pytest.approx(1.0, rel=1e-13)
 
+    def test_recurrence_matches_truncated_powers(self):
+        for n in range(172):
+            assert _scaled_integer_samples(n) == scaled_integer_samples_by_powers(n), n
+
+    def test_high_degree_is_a_palindrome_summing_to_n_factorial(self):
+        t = _scaled_integer_samples(601)
+        assert len(t) == 601 and min(t) > 0
+        assert sum(t) == math.factorial(601)
+        assert t == t[::-1]
+
 
 class TestAutocorrelation:
     def test_known_values(self):
@@ -198,18 +214,16 @@ class TestCardinalSpline:
     def test_matches_direct_sum(self):
         rng = np.random.default_rng(3)
         c = rng.normal(size=9)
-        s = CardinalSpline(degree=3, knot_spacing=0.7, coeffs=c, offset=-2)
-        x = np.linspace(-3.0, 8.0, 200)
-        direct = sum(
-            c[j] * eval_bspline(3, x / 0.7 - (-2 + j)) for j in range(len(c))
-        )
+        s = CardinalSpline(degree=3, knot_spacing=0.7, coeffs=c)
+        x = np.linspace(-1.6, 9.4, 200)  # both sides of the support [0, 8.4]
+        direct = sum(c[j] * eval_bspline(3, x / 0.7 - j) for j in range(len(c)))
         assert_allclose(spline_eval(s, x), direct, atol=1e-13)
 
     def test_support_bounds(self):
-        s = CardinalSpline(degree=2, knot_spacing=0.5, coeffs=[1.0, 2.0], offset=4)
+        s = CardinalSpline(degree=2, knot_spacing=0.5, coeffs=[1.0, 2.0])
         lo, hi = s.support
-        assert lo == 2.0
-        assert hi == 0.5 * (4 + 2 + 2)
+        assert lo == 0.0
+        assert hi == 0.5 * (2 + 2)
         assert spline_eval(s, lo - 1e-9) == 0.0
         assert spline_eval(s, hi + 1e-9) == 0.0
 
@@ -263,10 +277,10 @@ class TestCardinalSpline:
 
 
 class TestStack:
-    def test_rows_share_degree_spacing_offset(self):
-        s = CardinalSpline(degree=2, knot_spacing=0.5, coeffs=np.ones((3, 4)), offset=1)
+    def test_rows_share_degree_and_spacing(self):
+        s = CardinalSpline(degree=2, knot_spacing=0.5, coeffs=np.ones((3, 4)))
         assert s.coeffs.shape == (3, 4)
-        assert s.support == (0.5, 0.5 * (1 + 4 + 2))
+        assert s.support == (0.0, 0.5 * (4 + 2))
 
     def test_evaluation_needs_one_spline(self):
         s = CardinalSpline(degree=2, knot_spacing=1.0, coeffs=np.ones((3, 4)))

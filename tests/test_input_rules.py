@@ -276,8 +276,8 @@ class TestSeriesCap:
         ],
     )
     def test_every_loop_stops_at_the_cap(self, monkeypatch, call):
-        # each call misses rtol with its first terms; at the real cap,
-        # favard(2, 4.0000001e-16) raises after 4M terms (about 3 s)
+        # each call misses rtol with its first terms, and each rtol could be
+        # met within the cap, so no call is refused before summing
         def at_cap(terms, rtol):
             return _series._double_terms(1 << 22, rtol)
 
@@ -285,6 +285,18 @@ class TestSeriesCap:
         monkeypatch.setattr(symbol_module, "_double_terms", at_cap)
         with pytest.raises(ValueError, match="^series missed rtol"):
             call()
+
+    def test_unreachable_alternating_rtol_refused_before_summing(self, monkeypatch):
+        # the last pass's first omitted term, 1.7e-21, is above
+        # rtol - ROUNDING_FLOOR = 1e-23: refused in O(1), not after 8M terms
+        def no_pass(terms, rtol):
+            raise AssertionError("summed a pass for an unreachable rtol")
+
+        monkeypatch.setattr(favard_module, "_double_terms", no_pass)
+        with pytest.raises(
+            ValueError, match=r"^series missed rtol 4\.0000001e-16 after 4194304 terms$"
+        ):
+            favard(2, 4.0000001e-16)
 
     def test_cli_series_stay_below_the_cap(self):
         # constants reads odd indices only, and symbol sweeps these degrees,

@@ -31,10 +31,8 @@ from splineineq.norms import (
 )
 
 
-def make(degree, coeffs, spacing=1.0, offset=0):
-    return CardinalSpline(
-        degree=degree, knot_spacing=spacing, coeffs=coeffs, offset=offset
-    )
+def make(degree, coeffs, spacing=1.0):
+    return CardinalSpline(degree=degree, knot_spacing=spacing, coeffs=coeffs)
 
 
 class TestDerivativeCoeffs:
@@ -66,10 +64,10 @@ class TestDerivativeCoeffs:
         assert np.array_equal(thrice_chained.coeffs, derivative_coeffs(s, 3).coeffs)
 
     def test_order_zero_is_identity(self):
-        s = make(2, [3.0, 1.0], spacing=0.5, offset=-2)
+        s = make(2, [3.0, 1.0], spacing=0.5)
         d = derivative_coeffs(s, 0)
         assert_allclose(d.coeffs, s.coeffs)
-        assert (d.degree, d.knot_spacing, d.offset) == (2, 0.5, -2)
+        assert (d.degree, d.knot_spacing) == (2, 0.5)
 
     def test_order_above_degree_rejected(self):
         with pytest.raises(ValueError, match="exceeds degree"):
@@ -85,9 +83,9 @@ class TestDerivativeCoeffs:
 
     def test_evaluates_to_derivative(self):
         rng = np.random.default_rng(11)
-        s = make(3, rng.normal(size=7), spacing=0.8, offset=-1)
+        s = make(3, rng.normal(size=7), spacing=0.8)
         ds = derivative_coeffs(s, 1)
-        x = np.linspace(-2, 8, 300)
+        x = np.linspace(-1.2, 8.8, 300)  # both sides of the support [0, 8]
         h = 1e-6
         numeric = (s(x + h) - s(x - h)) / (2 * h)
         # away from knots the spline is smooth enough for the stencil
@@ -110,10 +108,6 @@ class TestL2Norm:
         base = l2_norm_sq(make(2, c, spacing=1.0))
         assert l2_norm_sq(make(2, c, spacing=2.5)) == pytest.approx(2.5 * base)
 
-    def test_offset_invariant(self):
-        c = [1.0, 2.0, -0.5]
-        assert l2_norm_sq(make(3, c, offset=0)) == l2_norm_sq(make(3, c, offset=-7))
-
     def test_derivative_norm_is_norm_of_its_coefficients(self):
         s = make(3, [1.0, 0.0, -2.0], spacing=0.5)
         d = derivative_coeffs(s, 2)
@@ -131,7 +125,7 @@ class TestL2Norm:
     @pytest.mark.parametrize("spacing", [0.5, 1.0, 2.0])
     def test_gram_matches_quadrature(self, m, spacing):
         rng = np.random.default_rng(100 * m + int(spacing * 10))
-        s = make(m, rng.uniform(-1, 1, size=17), spacing=spacing, offset=-3)
+        s = make(m, rng.uniform(-1, 1, size=17), spacing=spacing)
         assert l2_norm_sq(s) == pytest.approx(
             l2_norm_sq_quadrature(s), rel=1e-13
         )
@@ -149,12 +143,11 @@ class TestL2Norm:
 
 class TestDerivativeSpline:
     def test_fields(self):
-        s = make(4, [1.0, 2.0], spacing=2.0, offset=3)
+        s = make(4, [1.0, 2.0], spacing=2.0)
         d = derivative_coeffs(s, 2)
         assert type(d) is CardinalSpline
         assert d.degree == 2
         assert d.knot_spacing == 2.0
-        assert d.offset == 3
         assert not d.coeffs.flags.writeable
 
 
