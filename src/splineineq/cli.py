@@ -329,40 +329,24 @@ def cmd_symbol(m: int, points: int, rtol: float = 1e-12) -> OutputRecord:
     return OutputRecord(command="symbol", parameters=params, columns=columns)
 
 
-def _first_failure(
-    m: int, k: int, spacing: float, buf, starts: list, counts: list
-) -> str:
-    """The error of the lowest-numbered failing trial, as it fails alone."""
-    for i, (start, count) in enumerate(zip(starts, counts)):
-        try:
-            row = buf[start : start + count]
-            s = CardinalSpline(degree=m, knot_spacing=spacing, coeffs=row)
-            verify_inequality(s, k)
-        except ValueError as exc:
-            return f"trial {i}: {exc}"
-    raise AssertionError("a stack failed but none of its trials does")
-
-
 def cmd_verify(
     m: int, k: int, spacing: float, trials: int, seed: int
 ) -> OutputRecord:
     """Random-spline audit of the inequality; one row per trial plus a summary.
 
     Trial i draws its coefficients from ``default_rng(seed + i + 1)``:
-    ``random(out=...)`` writes its unit doubles u straight into its row
-    ``buf[starts[i] : starts[i] + counts[i]]`` of one flat buffer, which
-    then becomes ``2u - 1`` in place, the bits ``uniform(-1.0, 1.0)``
-    gives (``2u`` is exact, so ``-1 + 2u`` rounds once either way).  One
-    process draws every trial: _seeds.seed_states hashes all the seeds at
-    once, as ``SeedSequence`` would one at a time, and each row comes from
-    numpy's own ``Generator(PCG64(...))`` seeded with its trial's state,
-    so the doubles are those of ``default_rng(seed + i + 1)``.  One
-    stable argsort of the counts lays the rows end to end by count, each
-    count in trial order, and one cumsum of the sorted counts gives the
-    starts.  So the rows of one count are one contiguous (batch, count)
-    slice of the buffer, checked as one stack: at most 40 stacked checks
-    whatever the number of trials, each giving every trial the floats it
-    would get alone.  An error names the lowest-numbered failing trial.
+    ``random(out=...)`` writes its unit doubles u straight into its row of
+    one ``(batch, count)`` stack per count drawn, rows in trial order, and
+    each stack then becomes ``2u - 1`` in place, the bits
+    ``uniform(-1.0, 1.0)`` gives (``2u`` is exact, so ``-1 + 2u`` rounds
+    once either way).  One process draws every trial: _seeds.seed_states
+    hashes all the seeds at once, as ``SeedSequence`` would one at a time,
+    and each row comes from numpy's own ``Generator(PCG64(...))`` seeded
+    with its trial's state, so the doubles are those of
+    ``default_rng(seed + i + 1)``.  Each stack is checked at once: at most
+    40 stacked checks whatever the number of trials, each giving every
+    trial the floats it would get alone.  An error names the
+    lowest-numbered failing trial.
     """
     constant = _usage(sharp_constant, m, k, spacing)
     if trials < 1:
@@ -371,39 +355,40 @@ def cmd_verify(
         raise UsageError("seed must be non-negative")
     master = np.random.default_rng(seed)
     counts = master.integers(1, 41, size=trials)
-    # the trials sorted by count, each count in trial order, laid end to end
-    order = np.argsort(counts, kind="stable")
-    ranked = counts[order]
-    ends = np.cumsum(ranked)
-    starts = np.empty(trials, dtype=np.int64)
-    starts[order] = ends - ranked
-    counts, starts = counts.tolist(), starts.tolist()
     # here, so that no other subcommand loads numpy.random
     from ._seeds import HashedSeed, seed_states
 
-    buf = np.empty(int(ends[-1]))
     states = seed_states(seed + 1, seed + trials + 1)
-    for state, start, count in zip(states, starts, counts):
-        row = buf[start : start + count]
-        np.random.Generator(np.random.PCG64(HashedSeed(state))).random(out=row)
-    buf *= 2.0
-    buf -= 1.0
-    # each count's trials are one run of order, their rows one slice of buf
-    bounds = [0, *(np.flatnonzero(np.diff(ranked)) + 1).tolist(), trials]
+    stacks = []
+    for count in np.flatnonzero(np.bincount(counts)).tolist():
+        idx = np.flatnonzero(counts == count)
+        stack = np.empty((idx.size, count))
+        for i, row in zip(idx.tolist(), stack):
+            np.random.Generator(np.random.PCG64(HashedSeed(states[i]))).random(out=row)
+        stack *= 2.0
+        stack -= 1.0
+        stacks.append((idx, stack))
     ratio = np.empty(trials)
     margin = np.empty(trials)
     satisfied = np.empty(trials, dtype=bool)
     try:
-        for lo, hi in zip(bounds, bounds[1:]):
-            idx = order[lo:hi]
-            stack = buf[ends[lo] - ranked[lo] : ends[hi - 1]].reshape(hi - lo, -1)
+        for idx, stack in stacks:
             s = CardinalSpline(degree=m, knot_spacing=spacing, coeffs=stack)
             report = verify_inequality(s, k)
             ratio[idx] = report.ratio
             margin[idx] = report.margin
             satisfied[idx] = report.satisfied
     except ValueError:  # the norms overflow or underflow to zero
-        raise UsageError(_first_failure(m, k, spacing, buf, starts, counts)) from None
+        # the rows back in trial order, each checked alone, to name the
+        # lowest-numbered failing trial
+        rows = [(i, r) for idx, stack in stacks for i, r in zip(idx.tolist(), stack)]
+        for i, row in sorted(rows, key=lambda pair: pair[0]):
+            try:
+                s = CardinalSpline(degree=m, knot_spacing=spacing, coeffs=row)
+                verify_inequality(s, k)
+            except ValueError as exc:
+                raise UsageError(f"trial {i}: {exc}") from None
+        raise AssertionError("a stack failed but none of its trials does")
     ratios = ratio.tolist()
     margins = margin.tolist()
     oks = satisfied.tolist()
@@ -412,7 +397,7 @@ def cmd_verify(
     columns = {
         "kind": ["trial"] * trials + ["summary"],
         "trial": [*range(trials), None],
-        "coeff_count": [*counts, None],
+        "coeff_count": [*counts.tolist(), None],
         "ratio": [*ratios, max([0.0] + ratios)],
         "constant": [constant] * (trials + 1),
         "margin": [*margins, min([math.inf] + margins)],

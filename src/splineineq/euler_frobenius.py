@@ -45,7 +45,9 @@ def _check_ef_order(n: int) -> None:
 
 
 def _check_symbol_degree(m: int) -> None:
-    """The order rule on 2m+1, then in O(1) the degrees _symbol_factors refuses."""
+    """The order rule on 2m+1, then in O(1) the degrees whose root product
+    at pi is no longer a normal float (test_degree_82_underflows scans the
+    partial products to check that boundary)."""
     _check_ef_order(2 * m + 1)
     if m > 81:
         raise ValueError(f"degree {m} is too high: the root product underflows at pi")
@@ -142,12 +144,6 @@ def _symbol_factors(m: int) -> tuple[tuple[float, ...], float]:
     at_zero = 1.0
     for lam in reps:
         at_zero *= (1.0 - lam) ** 2 / (-lam)
-    # Each factor is least at ω = π, as λ < 0, so the partial products there
-    # are the least at any ω; each must be a normal float.
-    at_pi = [(1.0 + 2.0 * lam + lam * lam) / (-lam) for lam in reps]
-    least = np.multiply.accumulate([1.0 / at_zero, *at_pi]).min()
-    if least < np.finfo(np.float64).tiny:
-        raise ValueError(f"degree {m} is too high: the root product underflows at pi")
     return reps, 1.0 / at_zero
 
 

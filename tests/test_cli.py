@@ -965,7 +965,9 @@ class TestBatchedVerify:
             (6, 3, 0.5, 2**128 - 5),
         ],
     )
-    @pytest.mark.parametrize("trials", [1, 1023, 1024, 1025, 2500, 4097])
+    # at 50 trials some of the 40 counts are missing and some drawn once,
+    # the edges of the per-count stacks
+    @pytest.mark.parametrize("trials", [1, 50, 2500, 4097])
     def test_matches_per_trial_loop(self, m, k, spacing, seed, trials):
         got = cmd_verify(m, k, spacing, trials, seed)
         want = verify_reference(m, k, spacing, trials, seed)
@@ -1072,8 +1074,9 @@ class TestSplitDraw:
         self.check_audit(trials, seed)
 
     def test_size_no_memory_can_hold(self, monkeypatch):
-        # 4096 trials of 2^38 coefficients each: the draw buffer (8 PiB) is
-        # refused at once; main turns the MemoryError into exit 2
+        # 4096 trials of 2^38 coefficients each: the table of counts (2 TiB)
+        # and their one (4096, 2^38) stack (8 PiB) are more than any memory
+        # holds, refused at once; main turns the MemoryError into exit 2
         # (TestOutOfMemory)
         class HugeCounts:
             def integers(self, low, high, size):

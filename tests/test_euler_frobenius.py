@@ -221,11 +221,17 @@ class TestSymbolProduct:
             symbol_via_ef(-1, 0.5)
 
     def test_degree_82_underflows(self):
-        # its product at π passes 2.0e-310, below the least normal float:
-        # the scan over the roots finds what the O(1) check refuses
+        # the oracle behind the O(1) degree-81 rule: each factor is least at
+        # ω = π, as λ < 0, so the partial products there are the least at any
+        # ω; at degree 81 each is a normal float, at 82 one passes 2.0e-310
+        def least_at_pi(m):
+            reps, norm = _symbol_factors(m)
+            at_pi = [(1.0 + 2.0 * lam + lam * lam) / (-lam) for lam in reps]
+            return np.multiply.accumulate([norm, *at_pi]).min()
+
+        tiny = np.finfo(np.float64).tiny
+        assert least_at_pi(81) >= tiny > least_at_pi(82)
         message = "^degree 82 is too high: the root product underflows at pi$"
-        with pytest.raises(ValueError, match=message):
-            _symbol_factors(82)
         with pytest.raises(ValueError, match=message):
             symbol_via_ef(82, 0.5)
 
