@@ -1,18 +1,20 @@
-"""numpy's seeding of ``default_rng(s)`` for a run of consecutive seeds at once.
+"""numpy's ``default_rng(s).random()`` for a run of consecutive seeds at once.
 
 ``default_rng(s)`` hashes s with ``SeedSequence`` (O'Neill's seed_seq with
-numpy's constants and a pool of 4 words, whose output NEP 19 freezes) and
-seeds ``PCG64`` with 4 words of the hash.  seed_states computes those words
-for every seed of a range in uint32 array arithmetic, and HashedSeed hands
-one row to numpy's own ``PCG64``, so each generator and every double it
-draws are numpy's.  Importing this module loads numpy.random.
+numpy's constants and a pool of 4 words, whose output NEP 19 freezes),
+seeds ``PCG64`` with 4 words of the hash, and ``random()`` turns each
+64-bit output into a double.  seed_states computes those words for every
+seed of a range in uint32 array arithmetic, and random_stacks runs each
+row's PCG64 stream (O'Neill's 128-bit LCG with the XSL-RR output, the
+stream NEP 19 freezes) in uint64 array arithmetic, so every double is the
+one numpy's own generator draws.  Nothing here imports numpy.random.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["HashedSeed", "seed_states"]
+__all__ = ["random_stacks", "seed_states"]
 
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
@@ -64,12 +66,76 @@ def seed_states(lo: int, hi: int) -> np.ndarray:
     return np.stack([out[i] | out[i + 1] << 32 for i in range(0, 8, 2)], axis=1)
 
 
-class HashedSeed(np.random.bit_generator.ISeedSequence):
-    """A seed sequence whose state, one row of seed_states, is already hashed."""
+# PCG64's multiplier M as two words, its low word's 32-bit limbs, and the
+# masks and shifts, all np.uint64: under numpy 1.x a Python int operand
+# would turn a uint64 scalar product into float64
+_ONE, _11, _32, _58, _63, _64 = (np.uint64(n) for n in (1, 11, 32, 58, 63, 64))
+_LOW32 = np.uint64(_MASK32)
+_MUL_HI, _MUL_LO = np.uint64(0x2360ED051FC65DA4), np.uint64(0x4385DF649FCCF645)
+_MUL_LO_0, _MUL_LO_1 = _MUL_LO & _LOW32, _MUL_LO >> _32
 
-    def __init__(self, state: np.ndarray):
-        self.state = state
 
-    def generate_state(self, n_words, dtype=np.uint32):
-        # PCG64 asks for its 4 uint64 words, the only call this serves
-        return self.state
+def _step(hi: np.ndarray, lo: np.ndarray, inc_hi: np.ndarray, inc_lo: np.ndarray) -> None:
+    """``state = state·M + inc mod 2^128`` in place, with state ``hi·2^64 + lo``."""
+    # the high word of lo·M_lo, from 32-bit limbs whose products cannot wrap
+    lo_0, lo_1 = lo & _LOW32, lo >> _32
+    p00, p01, p10 = lo_0 * _MUL_LO_0, lo_0 * _MUL_LO_1, lo_1 * _MUL_LO_0
+    mid = (p00 >> _32) + (p01 & _LOW32) + (p10 & _LOW32)
+    carry = lo_1 * _MUL_LO_1 + (p01 >> _32) + (p10 >> _32) + (mid >> _32)
+    hi *= _MUL_LO
+    hi += lo * _MUL_HI
+    hi += carry
+    hi += inc_hi
+    lo *= _MUL_LO
+    lo += inc_lo
+    hi += lo < inc_lo  # the carry of the low add
+
+
+def random_stacks(
+    states: np.ndarray, counts: np.ndarray
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """``default_rng(s).random(count)`` of every row, stacked per count.
+
+    states holds one ``SeedSequence(s).generate_state(4, np.uint64)`` row
+    per trial (seed_states), and counts the number of doubles each trial
+    draws.  Returns ``(trials, stack)`` for each count drawn, in
+    ascending count order: the trials with that count, ascending, and
+    their ``(batch, count)`` stack of doubles, rows in the same order.
+
+    PCG64 seeds its 128-bit state from the words ``initstate = w0·2^64 +
+    w1`` and ``initseq = w2·2^64 + w3``: ``inc = initseq << 1 | 1``,
+    ``state = inc + initstate``, one step.  Each draw steps ``state =
+    state·M + inc mod 2^128``, outputs ``rotr64(hi ^ lo, hi >> 58)`` and
+    becomes the double ``(x >> 11)·2^-53``.  The trials are sorted once by
+    descending count, stably, so each count's trials form one block in
+    trial order, and draw j steps only the prefix of rows with more than
+    j doubles; the blocks' stacks are returned in reverse.
+    """
+    order = np.argsort(-counts, kind="stable")
+    drawn = counts[order]
+    edges = np.flatnonzero(np.diff(drawn)) + 1
+    starts = [0, *edges.tolist()]
+    ends = [*edges.tolist(), drawn.size]
+    stacks = [
+        (order[a:b], np.empty((b - a, int(drawn[a])))) for a, b in zip(starts, ends)
+    ]
+    w = states[order]
+    inc_hi = w[:, 2] << _ONE | w[:, 3] >> _63
+    inc_lo = w[:, 3] << _ONE | _ONE
+    lo = inc_lo + w[:, 1]
+    hi = inc_hi + w[:, 0] + (lo < inc_lo)
+    _step(hi, lo, inc_hi, inc_lo)
+    live = len(stacks)
+    for j in range(stacks[0][1].shape[1]):
+        while stacks[live - 1][1].shape[1] <= j:
+            live -= 1  # that block has all its doubles
+        n = ends[live - 1]
+        h, l = hi[:n], lo[:n]
+        _step(h, l, inc_hi[:n], inc_lo[:n])
+        x = h ^ l
+        rot = h >> _58
+        x = x >> rot | x << ((_64 - rot) & _63)  # rotation 0 shifts left by 0
+        u = (x >> _11) * 2.0**-53
+        for (_, stack), a, b in zip(stacks[:live], starts, ends):
+            stack[:, j] = u[a:b]
+    return stacks[::-1]

@@ -161,11 +161,15 @@ def _scaled_integer_samples(n: int) -> tuple[int, ...]:
 
     ``T_d(j) = d! N_d(j)`` obeys the degree recurrence ``T_d(j) = j T_{d-1}(j)
     + (d+1-j) T_{d-1}(j-1)``, whose terms are non-negative: nothing cancels.
+    Each table is a palindrome, ``T_d(j) = T_d(d+1-j)``, so the recurrence
+    forms ``j = 1..⌈d/2⌉`` and the rest is that half mirrored.
     """
     t = [1] if n else []  # T_1(1) = 1
     for d in range(2, n + 1):
-        prev = [0, *t, 0]  # T_{d-1}(j) for j = 0..d; N_{d-1} is 0 at 0 and d
-        t = [j * prev[j] + (d + 1 - j) * prev[j - 1] for j in range(1, d + 1)]
+        prev = [0, *t]  # T_{d-1}(j) for j = 0..d-1; N_{d-1} is 0 at 0
+        ceil_half = (d + 1) // 2
+        half = [j * prev[j] + (d + 1 - j) * prev[j - 1] for j in range(1, ceil_half + 1)]
+        t = half + half[: d // 2][::-1]
     return tuple(t)
 
 

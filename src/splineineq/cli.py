@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._seeds import random_stacks, seed_states
 from .bernstein import extremal_ratio, sharp_constant, verify_inequality
 from .bspline import CardinalSpline, _check_degree, _check_spacing
 from .euler_frobenius import _check_ef_order, _check_symbol_degree, ef_roots
@@ -335,15 +336,15 @@ def cmd_verify(
     """Random-spline audit of the inequality; one row per trial plus a summary.
 
     Trial i draws its coefficients from ``default_rng(seed + i + 1)``:
-    ``random(out=...)`` writes its unit doubles u straight into its row of
-    one ``(batch, count)`` stack per count drawn, rows in trial order, and
-    each stack then becomes ``2u - 1`` in place, the bits
-    ``uniform(-1.0, 1.0)`` gives (``2u`` is exact, so ``-1 + 2u`` rounds
-    once either way).  One process draws every trial: _seeds.seed_states
-    hashes all the seeds at once, as ``SeedSequence`` would one at a time,
-    and each row comes from numpy's own ``Generator(PCG64(...))`` seeded
-    with its trial's state, so the doubles are those of
-    ``default_rng(seed + i + 1)``.  Each stack is checked at once: at most
+    its unit doubles u, those of ``random()``, fill its row of one
+    ``(batch, count)`` stack per count drawn, rows in trial order, and each
+    stack then becomes ``2u - 1`` in place, the bits ``uniform(-1.0, 1.0)``
+    gives (``2u`` is exact, so ``-1 + 2u`` rounds once either way).  The
+    draw is array arithmetic over every trial at once: _seeds.seed_states
+    hashes all the seeds, as ``SeedSequence`` would one at a time, and
+    _seeds.random_stacks runs every trial's PCG64 stream side by side, so
+    the doubles are those of ``default_rng(seed + i + 1)`` with no
+    generator built per trial.  Each stack is checked at once: at most
     40 stacked checks whatever the number of trials, each giving every
     trial the floats it would get alone.  An error names the
     lowest-numbered failing trial.
@@ -355,19 +356,10 @@ def cmd_verify(
         raise UsageError("seed must be non-negative")
     master = np.random.default_rng(seed)
     counts = master.integers(1, 41, size=trials)
-    # here, so that no other subcommand loads numpy.random
-    from ._seeds import HashedSeed, seed_states
-
-    states = seed_states(seed + 1, seed + trials + 1)
-    stacks = []
-    for count in np.flatnonzero(np.bincount(counts)).tolist():
-        idx = np.flatnonzero(counts == count)
-        stack = np.empty((idx.size, count))
-        for i, row in zip(idx.tolist(), stack):
-            np.random.Generator(np.random.PCG64(HashedSeed(states[i]))).random(out=row)
+    stacks = random_stacks(seed_states(seed + 1, seed + trials + 1), counts)
+    for _, stack in stacks:
         stack *= 2.0
         stack -= 1.0
-        stacks.append((idx, stack))
     ratio = np.empty(trials)
     margin = np.empty(trials)
     satisfied = np.empty(trials, dtype=bool)

@@ -66,6 +66,20 @@ def scaled_integer_samples_by_powers(n: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def scaled_integer_samples_full_rows(n: int) -> tuple[int, ...]:
+    """n! * N_n(j) for j = 1..n by the degree recurrence over every j.
+
+    The oracle for the package's half-row recurrence, which forms
+    ``j = 1..⌈d/2⌉`` of each degree and mirrors the palindrome: this one
+    forms the whole row, so neither half is taken from the other.
+    """
+    t = [1] if n else []  # T_1(1) = 1
+    for d in range(2, n + 1):
+        prev = [0, *t, 0]  # T_{d-1}(j) for j = 0..d; N_{d-1} is 0 at 0 and d
+        t = [j * prev[j] + (d + 1 - j) * prev[j - 1] for j in range(1, d + 1)]
+    return tuple(t)
+
+
 def integer_samples(m: int) -> Array:
     """Interior integer samples [N_m(1), ..., N_m(m)]; empty for m = 0.
 

@@ -13,6 +13,7 @@ from bspline_extras import (
     eval_bspline_window,
     integer_samples,
     scaled_integer_samples_by_powers,
+    scaled_integer_samples_full_rows,
 )
 from splineineq.bspline import (
     CardinalSpline,
@@ -177,7 +178,12 @@ class TestIntegerSamples:
         for n in range(172):
             assert _scaled_integer_samples(n) == scaled_integer_samples_by_powers(n), n
 
+    @pytest.mark.parametrize("n", [172, 301, 601])
+    def test_half_rows_match_full_rows(self, n):
+        assert _scaled_integer_samples(n) == scaled_integer_samples_full_rows(n)
+
     def test_high_degree_is_a_palindrome_summing_to_n_factorial(self):
+        # the mirror makes every table a palindrome: the sum is the check
         t = _scaled_integer_samples(601)
         assert len(t) == 601 and min(t) > 0
         assert sum(t) == math.factorial(601)

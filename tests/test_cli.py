@@ -927,30 +927,38 @@ class TestOutOfMemory:
         assert line.startswith("error: out of memory: ")
 
 
-def verify_reference(m, k, spacing, trials, seed):
-    """The per-trial audit loop that batching replaced, kept as an oracle."""
-    counts = np.random.default_rng(seed).integers(1, 41, size=trials)
+def verify_record(m, k, spacing, seed, counts, checks):
+    """The verify record of trials with these counts and (ratio, margin,
+    satisfied) checks, the summary a running fold in trial order."""
     constant = sharp_constant(m, k, spacing)
     rows = []
     worst_ratio, min_margin, all_ok = 0.0, math.inf, True
-    for i in range(trials):
-        count = int(counts[i])
+    for i, (count, (ratio, margin, ok)) in enumerate(zip(counts, checks)):
+        worst_ratio = max(worst_ratio, ratio)
+        min_margin = min(min_margin, margin)
+        all_ok = all_ok and ok
+        rows.append({"kind": "trial", "trial": i, "coeff_count": count,
+                     "ratio": ratio, "constant": constant,
+                     "margin": margin, "satisfied": ok})
+    rows.append({"kind": "summary", "trial": None, "coeff_count": None,
+                 "ratio": worst_ratio, "constant": constant,
+                 "margin": min_margin, "satisfied": all_ok})
+    params = {"degree": m, "order": k, "spacing": spacing, "trials": len(counts),
+              "seed": seed}
+    return from_rows("verify", params, rows)
+
+
+def verify_reference(m, k, spacing, trials, seed):
+    """The per-trial audit loop that batching replaced, kept as an oracle."""
+    counts = np.random.default_rng(seed).integers(1, 41, size=trials).tolist()
+    checks = []
+    for i, count in enumerate(counts):
         coeffs = np.random.default_rng(seed + i + 1).uniform(-1.0, 1.0, size=count)
         report = verify_inequality(
             CardinalSpline(degree=m, knot_spacing=spacing, coeffs=coeffs), k
         )
-        worst_ratio = max(worst_ratio, report.ratio)
-        min_margin = min(min_margin, report.margin)
-        all_ok = all_ok and report.satisfied
-        rows.append({"kind": "trial", "trial": i, "coeff_count": count,
-                     "ratio": report.ratio, "constant": constant,
-                     "margin": report.margin, "satisfied": report.satisfied})
-    rows.append({"kind": "summary", "trial": None, "coeff_count": None,
-                 "ratio": worst_ratio, "constant": constant,
-                 "margin": min_margin, "satisfied": all_ok})
-    params = {"degree": m, "order": k, "spacing": spacing, "trials": trials,
-              "seed": seed}
-    return from_rows("verify", params, rows)
+        checks.append((report.ratio, report.margin, report.satisfied))
+    return verify_record(m, k, spacing, seed, counts, checks)
 
 
 class TestBatchedVerify:
@@ -986,14 +994,18 @@ class TestBatchedVerify:
         small = next(c for c in counts if c < big)
         assert counts.index(small) > 0
 
+        failed = []
+
         def failing(s, k):
             if s.coeffs.shape[-1] in (big, small):
+                failed.append(s.coeffs.shape)
                 raise ValueError("forged failure")
             return verify_inequality(s, k)
 
         monkeypatch.setattr(cli, "verify_inequality", failing)
         with pytest.raises(cli.UsageError, match="^trial 0: forged failure$"):
             cmd_verify(2, 1, 1.0, trials, seed)
+        assert failed[0] == (counts.count(small), small)  # the stack failing first
 
     def test_reports_lowest_failing_trial_checked_after_another(self, monkeypatch):
         # two forged failing trials: the lower-numbered one has the larger
@@ -1007,20 +1019,51 @@ class TestBatchedVerify:
             for i in (first, later)
         ]
 
+        failed = []
+
         def failing(s, k):
             rows = s.coeffs.reshape(-1, s.coeffs.shape[-1])
             for b in bad:
                 if b.size == rows.shape[1] and (rows == b).all(axis=1).any():
+                    failed.append(s.coeffs.shape)
                     raise ValueError("forged failure")
             return verify_inequality(s, k)
 
         monkeypatch.setattr(cli, "verify_inequality", failing)
         with pytest.raises(cli.UsageError, match=f"^trial {first}: forged failure$"):
             cmd_verify(2, 1, 1.0, trials, seed)
+        small = counts[later]
+        assert failed[0] == (counts.count(small), small)  # the stack failing first
+
+
+def pcg64_rotations(seed: int, n: int) -> list[int]:
+    """The XSL-RR rotation ``state >> 122`` of numpy's first n PCG64 outputs for seed."""
+    bits = np.random.PCG64(seed)
+    out = []
+    for _ in range(n):
+        bits.random_raw()
+        out.append(bits.state["state"]["state"] >> 122)
+    return out
 
 
 class TestSeedStates:
-    """verify's seeding is numpy's, bit for bit, one seed hash per trial."""
+    """verify's draw is numpy's, bit for bit: the seed hash and PCG64 stream."""
+
+    @staticmethod
+    def check_draws(lo: int, counts: np.ndarray) -> None:
+        """random_stacks for seeds lo, lo + 1, ... against numpy's generators, by bytes."""
+        stacks = _seeds.random_stacks(_seeds.seed_states(lo, lo + counts.size), counts)
+        assert [stack.shape[1] for _, stack in stacks] == np.unique(counts).tolist()
+        trials = np.concatenate([idx for idx, _ in stacks])
+        assert sorted(trials.tolist()) == list(range(counts.size))
+        for idx, stack in stacks:
+            assert (np.diff(idx) > 0).all()
+            assert stack.dtype == np.float64 and stack.shape[0] == idx.size
+            assert (counts[idx] == stack.shape[1]).all()
+            for i, row in zip(idx.tolist(), stack):
+                ref = np.empty(stack.shape[1])
+                np.random.default_rng(lo + i).random(out=ref)
+                assert row.tobytes() == ref.tobytes(), lo + i
 
     @pytest.mark.parametrize(
         "lo,hi",
@@ -1040,10 +1083,24 @@ class TestSeedStates:
         for s, state in zip(range(lo, hi), states):
             want = np.random.SeedSequence(s).generate_state(4, np.uint64)
             assert state.tobytes() == want.tobytes(), s
-            got, ref = np.empty(40), np.empty(40)
-            np.random.Generator(np.random.PCG64(_seeds.HashedSeed(state))).random(out=got)
-            np.random.default_rng(s).random(out=ref)
-            assert got.tobytes() == ref.tobytes(), s
+        for width in (1, 40):
+            self.check_draws(lo, np.full(hi - lo, width))
+        # the outputs compared include rotation 0, whose left shift by
+        # 64 - 0 the kernel must take as 0
+        seeds = range(lo, min(hi, lo + 64))
+        assert any(0 in pcg64_rotations(s, 40) for s in seeds)
+
+    def test_counts_1_and_40_only(self):
+        counts = np.random.default_rng(1).choice([1, 40], size=500)
+        assert set(counts.tolist()) == {1, 40}
+        self.check_draws(2**128 - 250, counts)
+
+    @pytest.mark.parametrize("count", [1, 17, 40])
+    def test_one_trial(self, count):
+        self.check_draws(2**64 - 1, np.array([count]))
+
+    def test_every_trial_the_same_count(self):
+        self.check_draws(7, np.full(300, 23))
 
 
 AUDIT = (6, 3, 0.5)  # degree, order and spacing of the benchmark's audit
@@ -1051,11 +1108,24 @@ AUDIT = (6, 3, 0.5)  # degree, order and spacing of the benchmark's audit
 
 @functools.lru_cache(maxsize=None)
 def numpy_seeded_audit(trials: int, seed: int) -> str:
-    """The audit record, each trial's generator seeded by numpy from its int seed."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(_seeds, "seed_states", lambda lo, hi: range(lo, hi))
-        patch.setattr(_seeds, "HashedSeed", int)
-        return render_record(cmd_verify(*AUDIT, trials, seed), "json-lines")
+    """The audit record from numpy's own generator per trial, checked per count."""
+    m, k, spacing = AUDIT
+    counts = np.random.default_rng(seed).integers(1, 41, size=trials)
+    checks = [None] * trials
+    for count in np.unique(counts).tolist():
+        idx = np.flatnonzero(counts == count).tolist()
+        stack = np.array([
+            np.random.default_rng(seed + i + 1).uniform(-1.0, 1.0, size=count)
+            for i in idx
+        ])
+        report = verify_inequality(
+            CardinalSpline(degree=m, knot_spacing=spacing, coeffs=stack), k
+        )
+        fields = (report.ratio.tolist(), report.margin.tolist(), report.satisfied.tolist())
+        for i, *check in zip(idx, *fields):
+            checks[i] = check
+    record = verify_record(m, k, spacing, seed, counts.tolist(), checks)
+    return render_record(record, "json-lines")
 
 
 class TestSplitDraw:
@@ -1074,10 +1144,9 @@ class TestSplitDraw:
         self.check_audit(trials, seed)
 
     def test_size_no_memory_can_hold(self, monkeypatch):
-        # 4096 trials of 2^38 coefficients each: the table of counts (2 TiB)
-        # and their one (4096, 2^38) stack (8 PiB) are more than any memory
-        # holds, refused at once; main turns the MemoryError into exit 2
-        # (TestOutOfMemory)
+        # 4096 trials of 2^38 coefficients each: their one (4096, 2^38)
+        # stack (8 PiB) is more than any memory holds, refused at once;
+        # main turns the MemoryError into exit 2 (TestOutOfMemory)
         class HugeCounts:
             def integers(self, low, high, size):
                 return np.full(size, 1 << 38, dtype=np.int64)
