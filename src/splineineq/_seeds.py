@@ -1,20 +1,20 @@
-"""numpy's ``default_rng(s).random()`` for a run of consecutive seeds at once.
+"""numpy's ``default_rng(s).uniform(-1.0, 1.0)`` for consecutive seeds at once.
 
 ``default_rng(s)`` hashes s with ``SeedSequence`` (O'Neill's seed_seq with
 numpy's constants and a pool of 4 words, whose output NEP 19 freezes),
-seeds ``PCG64`` with 4 words of the hash, and ``random()`` turns each
-64-bit output into a double.  seed_states computes those words for every
-seed of a range in uint32 array arithmetic, and random_stacks runs each
-row's PCG64 stream (O'Neill's 128-bit LCG with the XSL-RR output, the
-stream NEP 19 freezes) in uint64 array arithmetic, so every double is the
-one numpy's own generator draws.  Nothing here imports numpy.random.
+seeds ``PCG64`` with 4 words of the hash, and ``uniform(-1.0, 1.0)`` turns
+each 64-bit output into a double.  seed_states computes those words for
+every seed of a range in uint32 array arithmetic, and uniform_stacks runs
+each seed's PCG64 stream (O'Neill's 128-bit LCG with the XSL-RR output,
+the stream NEP 19 freezes) in uint64 array arithmetic, so every double is
+the one numpy's own generator draws.  Nothing here imports numpy.random.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["random_stacks", "seed_states"]
+__all__ = ["seed_states", "uniform_stacks"]
 
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
@@ -91,25 +91,26 @@ def _step(hi: np.ndarray, lo: np.ndarray, inc_hi: np.ndarray, inc_lo: np.ndarray
     hi += lo < inc_lo  # the carry of the low add
 
 
-def random_stacks(
-    states: np.ndarray, counts: np.ndarray
+def uniform_stacks(
+    lo: int, counts: np.ndarray
 ) -> list[tuple[np.ndarray, np.ndarray]]:
-    """``default_rng(s).random(count)`` of every row, stacked per count.
+    """``default_rng(lo + i).uniform(-1.0, 1.0, counts[i])``, stacked per count.
 
-    states holds one ``SeedSequence(s).generate_state(4, np.uint64)`` row
-    per trial (seed_states), and counts the number of doubles each trial
-    draws.  Returns ``(trials, stack)`` for each count drawn, in
-    ascending count order: the trials with that count, ascending, and
-    their ``(batch, count)`` stack of doubles, rows in the same order.
+    counts holds the number of doubles trial i draws.  Returns ``(trials,
+    stack)`` for each count drawn, in ascending count order: the trials
+    with that count, ascending, and their ``(batch, count)`` stack of
+    doubles, rows in the same order.
 
     PCG64 seeds its 128-bit state from the words ``initstate = w0·2^64 +
-    w1`` and ``initseq = w2·2^64 + w3``: ``inc = initseq << 1 | 1``,
-    ``state = inc + initstate``, one step.  Each draw steps ``state =
-    state·M + inc mod 2^128``, outputs ``rotr64(hi ^ lo, hi >> 58)`` and
-    becomes the double ``(x >> 11)·2^-53``.  The trials are sorted once by
-    descending count, stably, so each count's trials form one block in
-    trial order, and draw j steps only the prefix of rows with more than
-    j doubles; the blocks' stacks are returned in reverse.
+    w1`` and ``initseq = w2·2^64 + w3`` of seed_states: ``inc = initseq <<
+    1 | 1``, ``state = inc + initstate``, one step.  Each draw steps
+    ``state = state·M + inc mod 2^128``, outputs ``rotr64(hi ^ lo, hi >>
+    58)`` and becomes ``(x >> 11)·2^-52 - 1``.  The product is exact, so
+    the subtraction is the one rounding of numpy's ``-1 + 2·(x >> 11)·2^-53``.
+    The trials are sorted once by descending count, stably, so each count's
+    trials form one block in trial order, and draw j steps only the prefix
+    of rows with more than j doubles; the blocks' stacks are returned in
+    reverse.
     """
     order = np.argsort(-counts, kind="stable")
     drawn = counts[order]
@@ -119,23 +120,23 @@ def random_stacks(
     stacks = [
         (order[a:b], np.empty((b - a, int(drawn[a])))) for a, b in zip(starts, ends)
     ]
-    w = states[order]
+    w = seed_states(lo, lo + counts.size)[order]
     inc_hi = w[:, 2] << _ONE | w[:, 3] >> _63
     inc_lo = w[:, 3] << _ONE | _ONE
-    lo = inc_lo + w[:, 1]
-    hi = inc_hi + w[:, 0] + (lo < inc_lo)
-    _step(hi, lo, inc_hi, inc_lo)
+    low = inc_lo + w[:, 1]
+    hi = inc_hi + w[:, 0] + (low < inc_lo)
+    _step(hi, low, inc_hi, inc_lo)
     live = len(stacks)
     for j in range(stacks[0][1].shape[1]):
         while stacks[live - 1][1].shape[1] <= j:
             live -= 1  # that block has all its doubles
         n = ends[live - 1]
-        h, l = hi[:n], lo[:n]
+        h, l = hi[:n], low[:n]
         _step(h, l, inc_hi[:n], inc_lo[:n])
         x = h ^ l
         rot = h >> _58
         x = x >> rot | x << ((_64 - rot) & _63)  # rotation 0 shifts left by 0
-        u = (x >> _11) * 2.0**-53
+        u = (x >> _11) * 2.0**-52 - 1.0
         for (_, stack), a, b in zip(stacks[:live], starts, ends):
             stack[:, j] = u[a:b]
     return stacks[::-1]

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._seeds import random_stacks, seed_states
+from ._seeds import uniform_stacks
 from .bernstein import extremal_ratio, sharp_constant, verify_inequality
 from .bspline import CardinalSpline, _check_degree, _check_spacing
 from .euler_frobenius import _check_ef_order, _check_symbol_degree, ef_roots
@@ -175,7 +175,8 @@ def render_record(record: OutputRecord, fmt: str) -> str:
 
     Each chunk slices every column once, renders its cells and writes
     them as JSON lines from one row template or as CSV rows.  A column
-    whose length is not the first column's raises ValueError.
+    whose length is not the first column's, or columns with no rows,
+    raise ValueError.
     """
     if fmt not in ("csv", "json-lines"):
         raise UsageError(f"unknown format: {fmt}")
@@ -184,6 +185,8 @@ def render_record(record: OutputRecord, fmt: str) -> str:
     if len(set(lengths.values())) > 1:
         raise ValueError(f"the columns differ in length: {lengths}")
     keys, n = tuple(columns), max(lengths.values(), default=0)
+    if keys and not n:  # a table with no rows would read back as no columns
+        raise ValueError(f"the columns have no rows: {list(keys)}")
     buf = io.StringIO()
     if fmt == "json-lines":
         values = tuple(_scalar(v, fmt) for v in params.values())
@@ -335,19 +338,13 @@ def cmd_verify(
 ) -> OutputRecord:
     """Random-spline audit of the inequality; one row per trial plus a summary.
 
-    Trial i draws its coefficients from ``default_rng(seed + i + 1)``:
-    its unit doubles u, those of ``random()``, fill its row of one
-    ``(batch, count)`` stack per count drawn, rows in trial order, and each
-    stack then becomes ``2u - 1`` in place, the bits ``uniform(-1.0, 1.0)``
-    gives (``2u`` is exact, so ``-1 + 2u`` rounds once either way).  The
-    draw is array arithmetic over every trial at once: _seeds.seed_states
-    hashes all the seeds, as ``SeedSequence`` would one at a time, and
-    _seeds.random_stacks runs every trial's PCG64 stream side by side, so
-    the doubles are those of ``default_rng(seed + i + 1)`` with no
-    generator built per trial.  Each stack is checked at once: at most
-    40 stacked checks whatever the number of trials, each giving every
-    trial the floats it would get alone.  An error names the
-    lowest-numbered failing trial.
+    Trial i draws its coefficients from
+    ``default_rng(seed + i + 1).uniform(-1.0, 1.0)``, bit for bit
+    (_seeds.uniform_stacks draws every trial's in array arithmetic), into
+    one ``(batch, count)`` stack per count drawn, rows in trial order.
+    Each stack is checked at once: at most 40 stacked checks whatever the
+    number of trials, each giving every trial the floats it would get
+    alone.  An error names the lowest-numbered failing trial.
     """
     constant = _usage(sharp_constant, m, k, spacing)
     if trials < 1:
@@ -356,10 +353,7 @@ def cmd_verify(
         raise UsageError("seed must be non-negative")
     master = np.random.default_rng(seed)
     counts = master.integers(1, 41, size=trials)
-    stacks = random_stacks(seed_states(seed + 1, seed + trials + 1), counts)
-    for _, stack in stacks:
-        stack *= 2.0
-        stack -= 1.0
+    stacks = uniform_stacks(seed + 1, counts)
     ratio = np.empty(trials)
     margin = np.empty(trials)
     satisfied = np.empty(trials, dtype=bool)

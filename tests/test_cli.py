@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import csv
-import functools
 import hashlib
 import importlib
 import io
@@ -19,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import splineineq
-from splineineq import _seeds, bspline, cli, euler_frobenius
+from splineineq import _seeds, cli, euler_frobenius
 from splineineq.bernstein import (
     REPORT_SLACK,
     InequalityReport,
@@ -289,6 +288,15 @@ class TestOneTable:
         with pytest.raises(ValueError, match=message):
             render_record(record, fmt)
 
+    @pytest.mark.parametrize("fmt", ["csv", "json-lines"])
+    def test_columns_with_no_rows_raise(self, fmt):
+        # they would read back as a record with no columns at all
+        record = OutputRecord(command="t", parameters={}, columns={"a": [], "b": []})
+        with pytest.raises(ValueError, match=r"^the columns have no rows: \['a', 'b'\]$"):
+            render_record(record, fmt)
+        empty = OutputRecord(command="t", parameters={}, columns={})
+        assert parse_record(render_record(empty, fmt), fmt) == empty
+
     @pytest.mark.parametrize("how", ["missing", "extra", "reordered"])
     @pytest.mark.parametrize("where", [1, 50, 51, 2051, 4097])
     def test_json_row_with_other_keys_raises_on_parse(self, how, where):
@@ -332,22 +340,6 @@ class TestOneTable:
         assert [r["n"] for r in record.rows] == record.columns["n"] == [0, 1, 3]
         with pytest.raises(TypeError):
             record.rows[0] = {}
-
-
-class TestInPlaceDraw:
-    """``random(out=row)`` then ``2u - 1`` has the bits of ``uniform(-1, 1)``."""
-
-    @pytest.mark.parametrize("count", range(1, 41))
-    def test_bitwise_uniform(self, count):
-        seeds = range(250)
-        stack = np.empty((len(seeds), count))
-        for r, seed in enumerate(seeds):
-            np.random.default_rng(seed).random(out=stack[r])
-        stack *= 2.0
-        stack -= 1.0
-        for r, seed in enumerate(seeds):
-            want = np.random.default_rng(seed).uniform(-1.0, 1.0, size=count)
-            assert stack[r].tobytes() == want.tobytes(), seed
 
 
 class TestCommands:
@@ -510,6 +502,19 @@ class TestMain:
         assert captured.err == (
             "error: degree 82 is too high: the root product underflows at pi\n"
         )
+
+    @pytest.mark.xfail(
+        strict=True, reason="ratio_L's cosine sum cancels near pi (ROADMAP item 12)"
+    )
+    def test_symbol_argmax_near_pi_or_exits_two(self, tmp_path):
+        # at degree 60 the grid argmax of ratio_L lands 7 steps off pi,
+        # ratio_L(pi) reads -3.993, and the command exits 0
+        out = tmp_path / "symbol.jsonl"
+        code = main(["symbol", "--degree", "60", "--points", "257", "--out", str(out)])
+        if code != 2:
+            assert code == 0
+            argmax = parse_record(out.read_text(), "json-lines").columns["is_argmax"]
+            assert abs(argmax.index(True) - 128) <= 1  # omega[128] is pi
 
     @pytest.mark.parametrize("m", [82, 85])
     def test_degree_past_81_refused_before_any_root_search(
@@ -1051,8 +1056,8 @@ class TestSeedStates:
 
     @staticmethod
     def check_draws(lo: int, counts: np.ndarray) -> None:
-        """random_stacks for seeds lo, lo + 1, ... against numpy's generators, by bytes."""
-        stacks = _seeds.random_stacks(_seeds.seed_states(lo, lo + counts.size), counts)
+        """uniform_stacks for seeds lo, lo + 1, ... against numpy's generators, by bytes."""
+        stacks = _seeds.uniform_stacks(lo, counts)
         assert [stack.shape[1] for _, stack in stacks] == np.unique(counts).tolist()
         trials = np.concatenate([idx for idx, _ in stacks])
         assert sorted(trials.tolist()) == list(range(counts.size))
@@ -1061,8 +1066,7 @@ class TestSeedStates:
             assert stack.dtype == np.float64 and stack.shape[0] == idx.size
             assert (counts[idx] == stack.shape[1]).all()
             for i, row in zip(idx.tolist(), stack):
-                ref = np.empty(stack.shape[1])
-                np.random.default_rng(lo + i).random(out=ref)
+                ref = np.random.default_rng(lo + i).uniform(-1.0, 1.0, size=row.size)
                 assert row.tobytes() == ref.tobytes(), lo + i
 
     @pytest.mark.parametrize(
@@ -1106,7 +1110,6 @@ class TestSeedStates:
 AUDIT = (6, 3, 0.5)  # degree, order and spacing of the benchmark's audit
 
 
-@functools.lru_cache(maxsize=None)
 def numpy_seeded_audit(trials: int, seed: int) -> str:
     """The audit record from numpy's own generator per trial, checked per count."""
     m, k, spacing = AUDIT
@@ -1129,19 +1132,12 @@ def numpy_seeded_audit(trials: int, seed: int) -> str:
 
 
 class TestSplitDraw:
-    """verify's draw is never split: the same bytes on any CPU count."""
+    """verify's audit is numpy's generator per trial, checked per count."""
 
-    @staticmethod
-    def check_audit(trials: int, seed: int) -> None:
+    @pytest.mark.parametrize("trials,seed", [(4097, 7), (20000, 0), (20000, 7)])
+    def test_matches_per_trial_loop(self, trials, seed):
         got = cmd_verify(*AUDIT, trials, seed)
         assert render_record(got, "json-lines") == numpy_seeded_audit(trials, seed)
-
-    @pytest.mark.parametrize("seed", [0, 7])
-    @pytest.mark.parametrize("trials", [2047, 2048, 2049, 4097, 20000])
-    @pytest.mark.parametrize("cpus", [1, 2, 3, 8])
-    def test_matches_per_trial_loop(self, monkeypatch, cpus, trials, seed):
-        monkeypatch.setattr(bspline, "_usable_cpus", lambda: cpus)
-        self.check_audit(trials, seed)
 
     def test_size_no_memory_can_hold(self, monkeypatch):
         # 4096 trials of 2^38 coefficients each: their one (4096, 2^38)
