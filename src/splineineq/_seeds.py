@@ -31,8 +31,18 @@ def seed_states(lo: int, hi: int) -> np.ndarray:
     the fourth is mixed in only for the rows whose seed reaches it.
     """
     width = max(4, -(-(hi - 1).bit_length() // 32))
-    data = b"".join(s.to_bytes(4 * width, "little") for s in range(lo, hi))
-    words = np.frombuffer(data, dtype="<u4").reshape(-1, width)
+    words = np.empty((hi - lo, width), dtype=np.uint32)
+    # within a run of seeds that share the words past the second, the low
+    # two words count up from the run's first seed
+    start = lo
+    while start < hi:
+        top, base = divmod(start, 1 << 64)
+        end = min(hi, (top + 1) << 64)
+        low = np.arange(end - start, dtype=np.uint64) + np.uint64(base)
+        run = words[start - lo : end - lo]
+        run[:, 0], run[:, 1] = low & _LOW32, low >> _32
+        run[:, 2:] = np.frombuffer(top.to_bytes(4 * width - 8, "little"), dtype="<u4")
+        start = end
     const = _INIT_A
 
     def hashmix(value):

@@ -129,6 +129,8 @@ def _parse_cell(s: str):
 
 # rows rendered at once; bounds the cell strings alive beside the record
 RENDER_CHUNK = 2048
+# leading cells of a float chunk whose repeat rate picks its path in _column
+REPEAT_PROBE = 256
 
 # equal values of one of these types have one text, bar the signed zeros
 _PLAIN = (str, int, bool, float, type(None))
@@ -150,8 +152,16 @@ def _column(values: list, fmt: str) -> list[str]:
         return [_scalar(first, fmt)] * n
     if kind is float:
         # "%.17g" is format(v, ".17g"); the cells it leaves without a point
-        # or exponent (integral values, the zeros, inf, nan) go to _scalar
-        cells = ("\n".join(["%.17g"] * n) % tuple(values)).split("\n")
+        # or exponent (integral values, the zeros, inf, nan) go to _scalar.
+        # A chunk whose first REPEAT_PROBE cells are under 3/4 distinct
+        # formats each distinct double once and looks its cells up.
+        probe = min(n, REPEAT_PROBE)
+        keys = values
+        if 4 * len(set(values[:probe])) < 3 * probe:
+            keys = list(dict.fromkeys(values))
+        cells = ("\n".join(["%.17g"] * len(keys)) % tuple(keys)).split("\n")
+        if keys is not values:
+            cells = list(map(dict(zip(keys, cells)).__getitem__, values))
         return [
             c if "." in c or "e" in c else _scalar(v, fmt)
             for c, v in zip(cells, values)

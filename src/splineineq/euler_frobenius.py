@@ -7,6 +7,7 @@ symbol."""
 from __future__ import annotations
 
 from functools import lru_cache
+from typing import Callable
 
 import numpy as np
 import numpy.typing as npt
@@ -70,13 +71,45 @@ def _exact_sign(coeffs: tuple[int, ...], x: float) -> int:
     return (acc > 0) - (acc < 0)
 
 
-def _bisect_root(coeffs: tuple[int, ...], lo: float, hi: float, slo: int) -> float:
+def _signer(coeffs: tuple[int, ...]) -> Callable[[float], int]:
+    """x -> the sign of the polynomial with these positive integer
+    coefficients at x: float Horner's where its error bound decides, else
+    _exact_sign's.
+
+    Let p̂ be float Horner on the coefficients rounded to floats and m̂ the
+    same at |x|, d the degree, u = 2^-53 and m = Σ|ĉ_i||x|^i <= m̂/(1 - 2du).
+    p̂ is within γ_2d·m of the rounded polynomial's value (Higham, Accuracy
+    and Stability, eq. 5.3), and rounding the coefficients moves that value
+    by at most u·m.  So |p̂| > 2.0625·(d + 2)·u·m̂ fixes the exact sign,
+    with room for rounding the bound and for underflow, which adds at most
+    2^-1075·m to either sum against an m of at least 1.  Any other p̂, inf
+    or NaN after overflow included, goes to _exact_sign.
+    """
+    floats = [float(c) for c in reversed(coeffs)]
+    tol = 2.0625 * (len(coeffs) + 1) * 2.0**-53
+
+    def sign(x: float) -> int:
+        p = m = 0.0
+        ax = abs(x)
+        for c in floats:
+            p = p * x + c
+            m = m * ax + c
+        if abs(p) > tol * m:
+            return 1 if p > 0.0 else -1
+        return _exact_sign(coeffs, x)
+
+    return sign
+
+
+def _bisect_root(
+    sign: Callable[[float], int], lo: float, hi: float, slo: int
+) -> float:
     """Shrink a sign-change bracket to one ulp."""
     while True:
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             return 0.5 * (lo + hi)
-        if _exact_sign(coeffs, mid) == slo:
+        if sign(mid) == slo:
             lo = mid
         else:
             hi = mid
@@ -99,17 +132,17 @@ def _roots_cached(n: int) -> tuple[float, ...]:
     # there, so no other dyadic point is a root.  The smallest root is about
     # -2^-n, and (n-1)//2 sign changes in (-1, 0) certify one root per
     # bracket.  Each doubling signs only the new points.
-    coeffs = ef_coefficients_exact(n)
+    sign = _signer(ef_coefficients_exact(n))
     skip = 1 - n % 2
     grid = _search_grid(n, 4 * n)
-    signs = np.array([_exact_sign(coeffs, x) for x in grid.tolist()])
+    signs = np.array([sign(x) for x in grid.tolist()])
     for _ in range(8):
         at = np.flatnonzero(signs[skip:-1] != signs[skip + 1 :]) + skip
         if at.size == (n - 1) // 2:
             break
         grid = _search_grid(n, 2 * (grid.size - 1))
         finer = np.repeat(signs, 2)[:-1]
-        finer[1::2] = [_exact_sign(coeffs, x) for x in grid[1::2].tolist()]
+        finer[1::2] = [sign(x) for x in grid[1::2].tolist()]
         signs = finer
     else:
         raise RootCountError(f"found {at.size} roots in (-1, 0) for order {n}")
@@ -117,10 +150,10 @@ def _roots_cached(n: int) -> tuple[float, ...]:
     for lo, hi, slo in zip(grid[at].tolist(), grid[at + 1].tolist(), signs[at].tolist()):
         # the reciprocal bracket, rounded outward, must change sign too
         olo, ohi = np.nextafter([1.0 / hi, 1.0 / lo], [-np.inf, np.inf]).tolist()
-        so = _exact_sign(coeffs, olo)
-        if so == _exact_sign(coeffs, ohi):
+        so = sign(olo)
+        if so == sign(ohi):
             raise RootCountError(f"no sign change around 1/{lo!r} for order {n}")
-        roots += [_bisect_root(coeffs, lo, hi, slo), _bisect_root(coeffs, olo, ohi, so)]
+        roots += [_bisect_root(sign, lo, hi, slo), _bisect_root(sign, olo, ohi, so)]
     return tuple(sorted(roots))
 
 

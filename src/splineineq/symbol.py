@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 import numpy.typing as npt
@@ -102,8 +103,8 @@ def symbol_lattice(m: int, omega, rtol: float = 1e-12) -> SymbolEval:
     p = 2.0 * m + 2.0
     # Reduce to the principal period first: IEEE remainder is exact, and
     # it keeps every lattice denominator safely away from zero.
-    r = np.array([math.remainder(x, _TWO_PI) for x in w.tolist()])
-    s = np.array([2.0 * abs(math.sin(0.5 * x)) for x in r.tolist()])
+    r = np.fromiter(map(math.remainder, w.tolist(), repeat(_TWO_PI)), np.float64)
+    s = 2.0 * np.abs(np.fromiter(map(math.sin, (0.5 * r).tolist()), np.float64))
     # At a lattice frequency every term but one vanishes and the surviving
     # limit is exactly 1.
     value, bound = np.ones_like(r), np.zeros_like(r)

@@ -166,6 +166,8 @@ COLUMNS = st.one_of(
     st.tuples(FLOATS, st.integers(1, 60)).map(
         lambda t: [float(repr(t[0])) for _ in range(t[1])]
     ),
+    # chunks under 3/4 distinct, which format each distinct double once
+    st.lists(st.sampled_from(SPECIAL_FLOATS + [0.5, -0.5, 1 / 3]), max_size=600),
 )
 
 
@@ -218,6 +220,10 @@ class TestColumn:
             cli._column([bad] * 4, fmt)
         with pytest.raises(ValueError, match="non-finite"):
             cli._column([np.float64(v) for v in col], fmt)
+        repeated = [0.25 * (i % 3) for i in range(300)]
+        repeated[where] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            cli._column(repeated, fmt)
 
 
 def _audit_like(n):

@@ -12,6 +12,7 @@ from splineineq.cli import main
 from splineineq.euler_frobenius import (
     _exact_sign,
     _search_grid,
+    _signer,
     _symbol_factors,
     ef_coefficients_exact,
     ef_roots,
@@ -256,8 +257,29 @@ class TestExactSign:
             [roots, np.nextafter(roots, -np.inf), np.nextafter(roots, 0.0)]
         )
         special = [0.0, -0.0, -1.0, 1.0, -5e-324, 2.5e-310, 1e300, -1e300]
+        sign = _signer(coeffs)  # float Horner first; it overflows at ±1e300
         for x in grid.tolist() + near_roots.tolist() + special:
-            assert _exact_sign(coeffs, x) == fraction_sign(coeffs, x), (n, x)
+            want = fraction_sign(coeffs, x)
+            assert _exact_sign(coeffs, x) == want, (n, x)
+            assert sign(x) == want, (n, x)
+
+    @pytest.mark.parametrize("n", [101, 171])
+    def test_float_first_sign_at_high_orders(self, n):
+        # the first grid, where float Horner decides most signs, and each
+        # root and its neighbours, where it decides least
+        coeffs = ef_coefficients_exact(n)
+        roots = ef_roots(n)
+        points = np.concatenate(
+            [
+                _search_grid(n, 4 * n),
+                roots,
+                np.nextafter(roots, -np.inf),
+                np.nextafter(roots, np.inf),
+            ]
+        )
+        sign = _signer(coeffs)
+        for x in points.tolist():
+            assert sign(x) == _exact_sign(coeffs, x), (n, x)
 
     @pytest.mark.parametrize("n", range(2, 42, 2))
     def test_minus_one_is_exact_root_for_even_order(self, n):
