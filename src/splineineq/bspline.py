@@ -6,7 +6,6 @@ from __future__ import annotations
 import contextvars
 import math
 import os
-import threading
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache
@@ -70,52 +69,33 @@ def _in_slices(
     the calling thread.  The cuts change no bit of a result as long as fn
     computes each element, or each partial, the same way whatever the
     bounds of its slice.
+
+    The caller runs slice 0 and a pool thread each other slice, in a copy
+    of the caller's context, so that its ``np.errstate`` holds there as
+    well.  The pool joins every thread before this returns, and the
+    exception of the lowest failing slice is raised in the caller.
     """
     n = args[0].shape[axis]
-    if n * width >= 2 * PARALLEL_MIN:
-        k = min(_usable_cpus(), n * width // PARALLEL_MIN)
-        if k > 1:
-            return _run_slices(fn, args, axis, [n * i // k for i in range(k + 1)])
-    return [fn(*args)]
+    k = n * width // PARALLEL_MIN
+    if k >= 2:
+        k = min(_usable_cpus(), k)
+    if k < 2:
+        return [fn(*args)]
+    from concurrent.futures import ThreadPoolExecutor  # only long rows import it
 
-
-def _run_slices(
-    fn: Callable[..., object], args: tuple, axis: int, bounds: list[int]
-) -> list:
-    """fn on the pieces ``bounds[i]:bounds[i + 1]`` of the array args.
-
-    The caller runs piece 0 and a thread of its own each other piece, in a
-    copy of the caller's context, so that its ``np.errstate`` holds there
-    as well.  Every thread is joined before this returns, and the
-    exception of the lowest failing piece is raised in the caller.  Kept
-    apart from _in_slices, whose short path then sets up no closure.
-    """
-    k = len(bounds) - 1
     after = (slice(None),) * (-1 - axis)
-    results: list = [None] * k
-    errors: list = [None] * k
 
-    def run(i: int) -> None:
-        index = (Ellipsis, slice(bounds[i], bounds[i + 1])) + after
-        try:
-            pieces = (a[index] if isinstance(a, np.ndarray) else a for a in args)
-            results[i] = fn(*pieces)
-        except BaseException as exc:  # re-raised in the caller
-            errors[i] = exc
+    def piece(i: int) -> list:
+        cut = (Ellipsis, slice(n * i // k, n * (i + 1) // k)) + after
+        return [a[cut] if isinstance(a, np.ndarray) else a for a in args]
 
-    threads = [
-        threading.Thread(target=contextvars.copy_context().run, args=(run, i))
-        for i in range(1, k)
-    ]
-    for t in threads:
-        t.start()
-    run(0)
-    for t in threads:
-        t.join()
-    for exc in errors:
-        if exc is not None:
-            raise exc
-    return results
+    with ThreadPoolExecutor(k - 1) as pool:
+        rest = [
+            pool.submit(contextvars.copy_context().run, fn, *piece(i))
+            for i in range(1, k)
+        ]
+        first = fn(*piece(0))
+        return [first] + [f.result() for f in rest]
 
 
 def _check_degree(m: int, least: int = 0) -> None:

@@ -103,12 +103,12 @@ def _signer(coeffs: tuple[int, ...]) -> Callable[[float], int]:
 
 def _bisect_root(
     sign: Callable[[float], int], lo: float, hi: float, slo: int
-) -> float:
-    """Shrink a sign-change bracket to one ulp."""
+) -> tuple[float, float]:
+    """Shrink a sign-change bracket to a pair of adjacent floats."""
     while True:
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
-            return 0.5 * (lo + hi)
+            return lo, hi
         if sign(mid) == slo:
             lo = mid
         else:
@@ -131,7 +131,9 @@ def _roots_cached(n: int) -> tuple[float, ...]:
     # root can be -1, a root at even n and the first grid point, skipped
     # there, so no other dyadic point is a root.  The smallest root is about
     # -2^-n, and (n-1)//2 sign changes in (-1, 0) certify one root per
-    # bracket.  Each doubling signs only the new points.
+    # bracket.  Each doubling signs only the new points.  With exact signs a
+    # simple root has one bracket of adjacent floats, found from any start:
+    # the outer root's search starts from the inner root's last bracket.
     sign = _signer(ef_coefficients_exact(n))
     skip = 1 - n % 2
     grid = _search_grid(n, 4 * n)
@@ -148,12 +150,14 @@ def _roots_cached(n: int) -> tuple[float, ...]:
         raise RootCountError(f"found {at.size} roots in (-1, 0) for order {n}")
     roots = [-1.0] * skip
     for lo, hi, slo in zip(grid[at].tolist(), grid[at + 1].tolist(), signs[at].tolist()):
+        lo, hi = _bisect_root(sign, lo, hi, slo)
         # the reciprocal bracket, rounded outward, must change sign too
         olo, ohi = np.nextafter([1.0 / hi, 1.0 / lo], [-np.inf, np.inf]).tolist()
         so = sign(olo)
         if so == sign(ohi):
             raise RootCountError(f"no sign change around 1/{lo!r} for order {n}")
-        roots += [_bisect_root(sign, lo, hi, slo), _bisect_root(sign, olo, ohi, so)]
+        olo, ohi = _bisect_root(sign, olo, ohi, so)
+        roots += [0.5 * (lo + hi), 0.5 * (olo + ohi)]
     return tuple(sorted(roots))
 
 

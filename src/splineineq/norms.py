@@ -78,7 +78,7 @@ def derivative_coeffs(s: CardinalSpline, k: int) -> CardinalSpline:
                 _in_slices(np.subtract, c[..., 1:], c[..., :-1], d[..., 1:-1])
                 np.subtract(0.0, c[..., -1], out=d[..., -1])
             if h != 1.0:  # dividing by 1.0 changes no bit, not even of -0.0
-                _in_slices(np.divide, d, h, d)
+                np.divide(d, h, out=d)
             c = d
     return CardinalSpline(degree=s.degree - k, knot_spacing=h, coeffs=c)
 

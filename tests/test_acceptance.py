@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import math
 import time
+from fractions import Fraction
 
 import numpy as np
 
@@ -14,7 +15,7 @@ from splineineq.bernstein import (
     sharp_constant,
     verify_inequality,
 )
-from splineineq.bspline import CardinalSpline
+from splineineq.bspline import CardinalSpline, _scaled_integer_samples
 from splineineq.euler_frobenius import ef_roots, representative_roots, symbol_via_ef
 from splineineq.favard import favard
 from splineineq.norms import derivative_coeffs, l2_norm_sq, l2_norm_sq_quadrature
@@ -226,3 +227,59 @@ def test_criterion_9_parseval_bridge():
         freq_side = float(np.mean(spectrum * symbol_fourier(m, w)))
         worst = max(worst, abs(time_side - freq_side) / time_side)
     _verdict(9, worst <= 1e-9, f"time vs frequency worst rel {worst:.2e}")
+
+
+def euler_polynomials(top: int) -> list[list[Fraction]]:
+    """Ascending coefficients of the Euler polynomials E_0..E_top, from the
+    Appell recurrence ``E_n(x) = x^n - 1/2 Σ_{k<n} C(n, k) E_k(x)``."""
+    polys: list[list[Fraction]] = []
+    for n in range(top + 1):
+        p = [Fraction(0)] * n + [Fraction(1)]
+        for k, q in enumerate(polys):
+            w = Fraction(math.comb(n, k), 2)
+            for i, c in enumerate(q):
+                p[i] -= w * c
+        polys.append(p)
+    return polys
+
+
+def euler_square_integrals(top: int) -> list[Fraction]:
+    """∫₀¹ E_n(x)² dx for n = 0..top, exact."""
+    return [
+        sum(a * b / (i + j + 1) for i, a in enumerate(p) for j, b in enumerate(p))
+        for p in euler_polynomials(top)
+    ]
+
+
+def symbol_at_pi(m: int) -> Fraction:
+    """S_m(π), the periodized squared symbol of N_m at π, exact: the
+    alternating sum of the Gram autocorrelations a_j = N_{2m+1}(m+1+j)."""
+    s = _scaled_integer_samples(2 * m + 1)
+    alternating = s[m] + 2 * sum((-1) ** j * s[m + j] for j in range(1, m + 1))
+    return Fraction(alternating, math.factorial(2 * m + 1))
+
+
+def test_criterion_10_euler_polynomial_oracle():
+    """The periodic Euler spline attains every constant at unit spacing, and
+    on [0, 1] it is a multiple of the Euler polynomial E_m, whose k-th
+    derivative is m!/(m-k)! E_{m-k}: a route with no B-spline, Gram matrix
+    or π, checked exactly against the symbol at π."""
+    t0 = time.perf_counter()
+    top = 40
+    integrals = euler_square_integrals(top)
+    at_pi = [symbol_at_pi(m) for m in range(top + 1)]
+    mismatches = 0
+    worst = 0.0
+    for m in range(1, top + 1):
+        for k in range(1, m + 1):
+            c2 = Fraction(math.perm(m, k)) ** 2 * integrals[m - k] / integrals[m]
+            mismatches += c2 != 4**k * at_pi[m - k] / at_pi[m]
+            got = Fraction(sharp_constant(m, k)) ** 2
+            worst = max(worst, float(abs(got - c2) / c2))
+    dt = time.perf_counter() - t0
+    _verdict(
+        10,
+        mismatches == 0 and worst <= 1e-14,
+        f"1 <= k <= m <= {top}: {mismatches} exact mismatches, "
+        f"sharp_constant^2 worst rel {worst:.2e}, {dt:.2f}s",
+    )

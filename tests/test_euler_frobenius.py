@@ -146,6 +146,28 @@ class TestRoots:
             signs = [_exact_sign(coeffs, float(y)) for y in around]
             assert 0 not in signs and signs[0] != signs[2], x
 
+    @pytest.mark.parametrize("n", [101, 171])
+    def test_each_root_sits_in_an_exact_sign_change(self, n):
+        # the outer root's search starts from the inner root's last bracket;
+        # from any start, a simple root has one bracket of adjacent floats
+        coeffs = ef_coefficients_exact(n)
+        for x in ef_roots(n).tolist():
+            below = _exact_sign(coeffs, float(np.nextafter(x, -np.inf)))
+            above = _exact_sign(coeffs, float(np.nextafter(x, np.inf)))
+            assert 0 not in (below, above) and below != above, (n, x)
+
+    @pytest.mark.parametrize(
+        "n,digest",
+        [
+            (101, "6f62093d7e54027e9776f29ac25feabcf227576a0bf3bcba4f63eef95c4cea5c"),
+            (171, "8b9abc573c16503f6bc86b3675e6d9db4b6a97e45f1be33b1f4a77849ab2e4b1"),
+        ],
+    )
+    def test_high_order_roots_unchanged(self, n, digest):
+        # little-endian float64 bytes of the roots from whole-bracket searches
+        got = ef_roots(n).astype("<f8").tobytes()
+        assert hashlib.sha256(got).hexdigest() == digest
+
     def test_order_two(self):
         assert_allclose(ef_roots(2), [-1.0])
 
