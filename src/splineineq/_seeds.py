@@ -38,9 +38,9 @@ def seed_states(lo: int, hi: int) -> np.ndarray:
     while start < hi:
         top, base = divmod(start, 1 << 64)
         end = min(hi, (top + 1) << 64)
-        low = np.arange(end - start, dtype=np.uint64) + np.uint64(base)
+        low = np.arange(end - start, dtype=np.uint64) + base
         run = words[start - lo : end - lo]
-        run[:, 0], run[:, 1] = low & _LOW32, low >> _32
+        run[:, 0], run[:, 1] = low & _MASK32, low >> 32
         run[:, 2:] = np.frombuffer(top.to_bytes(4 * width - 8, "little"), dtype="<u4")
         start = end
     const = _INIT_A
@@ -76,22 +76,19 @@ def seed_states(lo: int, hi: int) -> np.ndarray:
     return np.stack([out[i] | out[i + 1] << 32 for i in range(0, 8, 2)], axis=1)
 
 
-# PCG64's multiplier M as two words, its low word's 32-bit limbs, and the
-# masks and shifts, all np.uint64: under numpy 1.x a Python int operand
-# would turn a uint64 scalar product into float64
-_ONE, _11, _32, _58, _63, _64 = (np.uint64(n) for n in (1, 11, 32, 58, 63, 64))
-_LOW32 = np.uint64(_MASK32)
-_MUL_HI, _MUL_LO = np.uint64(0x2360ED051FC65DA4), np.uint64(0x4385DF649FCCF645)
-_MUL_LO_0, _MUL_LO_1 = _MUL_LO & _LOW32, _MUL_LO >> _32
+# PCG64's multiplier M as two words, and its low word's 32-bit limbs; a
+# Python int operand leaves uint64 arithmetic in uint64 (NEP 50)
+_MUL_HI, _MUL_LO = 0x2360ED051FC65DA4, 0x4385DF649FCCF645
+_MUL_LO_0, _MUL_LO_1 = _MUL_LO & _MASK32, _MUL_LO >> 32
 
 
 def _step(hi: np.ndarray, lo: np.ndarray, inc_hi: np.ndarray, inc_lo: np.ndarray) -> None:
     """``state = state·M + inc mod 2^128`` in place, with state ``hi·2^64 + lo``."""
     # the high word of lo·M_lo, from 32-bit limbs whose products cannot wrap
-    lo_0, lo_1 = lo & _LOW32, lo >> _32
+    lo_0, lo_1 = lo & _MASK32, lo >> 32
     p00, p01, p10 = lo_0 * _MUL_LO_0, lo_0 * _MUL_LO_1, lo_1 * _MUL_LO_0
-    mid = (p00 >> _32) + (p01 & _LOW32) + (p10 & _LOW32)
-    carry = lo_1 * _MUL_LO_1 + (p01 >> _32) + (p10 >> _32) + (mid >> _32)
+    mid = (p00 >> 32) + (p01 & _MASK32) + (p10 & _MASK32)
+    carry = lo_1 * _MUL_LO_1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
     hi *= _MUL_LO
     hi += lo * _MUL_HI
     hi += carry
@@ -131,8 +128,8 @@ def uniform_stacks(
         (order[a:b], np.empty((b - a, int(drawn[a])))) for a, b in zip(starts, ends)
     ]
     w = seed_states(lo, lo + counts.size)[order]
-    inc_hi = w[:, 2] << _ONE | w[:, 3] >> _63
-    inc_lo = w[:, 3] << _ONE | _ONE
+    inc_hi = w[:, 2] << 1 | w[:, 3] >> 63
+    inc_lo = w[:, 3] << 1 | 1
     low = inc_lo + w[:, 1]
     hi = inc_hi + w[:, 0] + (low < inc_lo)
     _step(hi, low, inc_hi, inc_lo)
@@ -144,9 +141,9 @@ def uniform_stacks(
         h, l = hi[:n], low[:n]
         _step(h, l, inc_hi[:n], inc_lo[:n])
         x = h ^ l
-        rot = h >> _58
-        x = x >> rot | x << ((_64 - rot) & _63)  # rotation 0 shifts left by 0
-        u = (x >> _11) * 2.0**-52 - 1.0
+        rot = h >> 58
+        x = x >> rot | x << ((64 - rot) & 63)  # rotation 0 shifts left by 0
+        u = (x >> 11) * 2.0**-52 - 1.0
         for (_, stack), a, b in zip(stacks[:live], starts, ends):
             stack[:, j] = u[a:b]
     return stacks[::-1]

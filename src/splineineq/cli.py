@@ -293,14 +293,14 @@ def cmd_constants(
     h = 1.0 / spacing
     if h == math.inf:
         raise UsageError(f"h = 1/spacing overflows at spacing {spacing!r}")
+    # K[i] is K_{2i+1}, each series summed once
+    K = [_usage(favard, 2 * i + 1, rtol).value for i in range(m_max + 1)]
     rows = []
     for m in range(m_max + 1):
         for k in range(min(m, k_max) + 1):
-            num, den = 2 * (m - k) + 1, 2 * m + 1
             constant = _usage(sharp_constant, m, k, spacing)
-            k_num = _usage(favard, num, rtol).value
-            k_den = _usage(favard, den, rtol).value
-            rows.append((m, k, spacing, h, constant, num, k_num, den, k_den))
+            num, den = 2 * (m - k) + 1, 2 * m + 1
+            rows.append((m, k, spacing, h, constant, num, K[m - k], den, K[m]))
     keys = ("m", "k", "delta", "h", "constant", "K_num_index", "K_num")
     keys += ("K_den_index", "K_den")
     params = {"max_degree": m_max, "max_order": k_max, "spacing": spacing, "rtol": rtol}
@@ -552,7 +552,7 @@ def main(argv=None) -> int:
         if late:
             raise late
         return status
-    except UsageError as exc:
+    except (UsageError, ValueError) as exc:  # a library ValueError is bad input
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:  # a size no allocation can hold is bad input

@@ -113,7 +113,7 @@ def _band_dots(c: Array, b: int) -> list:
     Each entry is a float for a vector and one value per row for a
     (batch, n) stack.  Below ``BLOCK + b - 1`` coefficients every band is
     one BLAS dot.  Longer rows are cut into blocks of ``BLOCK`` that one
-    ``matmul`` call dots with all b shifts while the block is in cache, so
+    ``vecdot`` call dots with all b shifts while the block is in cache, so
     the row is read from memory once and not b times; the block partials
     and the dots of the tail are summed by ``math.fsum``, so the result
     does not depend on how BLAS splits or orders a dot.  A band whose
@@ -125,27 +125,20 @@ def _band_dots(c: Array, b: int) -> list:
     if nfull == 0:
         return _row_dots(c, b)
     tails = _row_dots(c[..., nfull * BLOCK :], b)
-    # (..., nfull, 1, 1, BLOCK) @ (..., nfull, b, BLOCK, 1): numpy's
-    # vector-vector loop, one dot per (block, shift), blocks outermost
-    lead, step = c.strides[:-1], c.strides[-1]
-    block = as_strided(
-        c,
-        c.shape[:-1] + (nfull, 1, 1, BLOCK),
-        lead + (BLOCK * step, 0, step, step),
-        writeable=False,
-    )
+    # vecdot of (..., nfull, 1, BLOCK) with (..., nfull, b, BLOCK): one dot
+    # per (block, shift), blocks outermost
+    lead, step = c.shape[:-1], c.strides[-1]
+    block = c[..., : nfull * BLOCK].reshape(lead + (nfull, 1, BLOCK))
     shifted = as_strided(
         c,
-        c.shape[:-1] + (nfull, b, BLOCK, 1),
-        lead + (BLOCK * step, step, step, step),
+        lead + (nfull, b, BLOCK),
+        c.strides[:-1] + (BLOCK * step, step, step),
         writeable=False,
     )
     # the blocks are cut into slices across the CPUs; each partial is the
     # same BLAS dot wherever the cuts fall
-    heads = _in_slices(np.matmul, block, shifted, axis=-4, width=BLOCK)
-    parts = np.concatenate(
-        [p[..., 0, 0] for p in heads] + [np.stack(tails, -1)[..., None, :]], axis=-2
-    )
+    heads = _in_slices(np.vecdot, block, shifted, axis=-3, width=BLOCK)
+    parts = np.concatenate(heads + [np.stack(tails, -1)[..., None, :]], axis=-2)
     by_band = np.swapaxes(parts, -1, -2).reshape(-1, nfull + 1)
     sums = [_fsum_or_nan(p) for p in by_band]  # one band of one row each
     return sums if c.ndim == 1 else list(np.reshape(sums, (-1, b)).T)
@@ -162,14 +155,14 @@ def _fsum_or_nan(p: Array) -> float:
 def _row_dots(c: Array, b: int) -> list:
     """The b band dots of c, each one BLAS dot per row.
 
-    ``ndarray.dot`` of two vectors gives a float, and ``(B, 1, n) @ (B, n,
-    1)``, which takes numpy's vector-vector loop, one value per row of a
-    stack, with the bits of that row alone (einsum does not).
+    ``ndarray.dot`` of two vectors gives a float, and ``np.vecdot`` one
+    value per row of a stack, with the bits of that row alone (einsum does
+    not), except that a lone -0.0 product comes out +0.0.
     """
     n = c.shape[-1]
     if c.ndim == 1:
         return [float(c[: n - j].dot(c[j:])) for j in range(b)]
-    return [(c[:, None, : n - j] @ c[:, j:, None])[:, 0, 0] for j in range(b)]
+    return [np.vecdot(c[:, : n - j], c[:, j:]) for j in range(b)]
 
 
 def l2_norm_sq_quadrature(s: CardinalSpline) -> float:

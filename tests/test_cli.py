@@ -937,6 +937,22 @@ class TestOutOfMemory:
         [line] = captured.err.splitlines()
         assert line.startswith("error: out of memory: ")
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            # past numpy's index range: a ValueError before any allocation
+            "symbol --degree 2 --points 10000000000000000000",
+            "verify --degree 2 --order 1 --trials 10000000000000000000",
+            "extremal --degree 2 --n 9223372036854775807",
+        ],
+    )
+    def test_size_past_the_index_range(self, capsys, args):
+        assert main(args.split()) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith("error: ")
+
 
 def verify_record(m, k, spacing, seed, counts, checks):
     """The verify record of trials with these counts and (ratio, margin,

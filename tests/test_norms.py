@@ -14,7 +14,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import splineineq
-from splineineq import bspline
+from splineineq import bspline, norms
 from splineineq.bernstein import fejer_extremal_coeffs
 from splineineq.bspline import (
     PARALLEL_MIN,
@@ -395,6 +395,91 @@ class TestBandDots:
                                   capture_output=True, text=True, check=True)
             out.append(proc.stdout)
         assert out[0] == out[1]
+
+
+def vecdot_rows(n, rng):
+    """Random rows and edge rows: 1e150-scale, subnormal, +-0.0 and mixed.
+
+    No product or sum of 1e150-scale values leaves the float range at the
+    lengths used here, so no overflow flag is raised.
+    """
+    rows = rng.uniform(-1.0, 1.0, size=(8, n))
+    rows[1] *= 1e150
+    rows[2] *= 2.0**-1060  # subnormal
+    rows[3, ::2], rows[3, 1::3] = -0.0, 0.0
+    rows[4] = -0.0
+    rows[5, ::3] = 5e-324
+    rows[5, 1::3] *= 1e150
+    rows[6, 0], rows[6, -1] = -0.0, 0.0
+    rows[7, 1::2] *= -1e150
+    return rows
+
+
+# lengths that straddle BLOCK and BLOCK + b - 1 for every b <= 13
+VECDOT_LENGTHS = [1, 2, 13, 45, BLOCK - 1, BLOCK, BLOCK + 1, BLOCK + 11, BLOCK + 12,
+                  BLOCK + 13, 2 * BLOCK + 12]
+
+
+class TestVecdot:
+    """np.vecdot gives each row the bits of its own BLAS dot.
+
+    numpy's dot loop adds the BLAS dot to 0.0, so a one-product band whose
+    product is -0.0 gives +0.0, where a vector's ndarray.dot gives -0.0; a
+    norm adds 0.0 to its squares' sum either way.
+    """
+
+    @pytest.mark.parametrize("n", VECDOT_LENGTHS)
+    def test_stack_dots_are_the_row_dots(self, n):
+        c = vecdot_rows(n, np.random.default_rng(n))
+        for j in range(min(13, n)):
+            dots = np.vecdot(c[:, : n - j], c[:, j:])
+            ref = [0.0 + row[: n - j].dot(row[j:]) for row in c]
+            assert bits(dots) == bits(ref), j
+
+    def test_only_a_lone_negative_zero_product_differs(self):
+        c = np.array([[-0.0, 0.0], [0.0, -0.0], [-0.0, -0.0]])
+        assert bits(np.vecdot(c[:, :1], c[:, 1:])) == bits([0.0, 0.0, 0.0])
+        assert bits([row[:1].dot(row[1:]) for row in c]) == bits([-0.0, -0.0, 0.0])
+        assert bits(np.vecdot(c, c)) == bits([row.dot(row) for row in c])
+
+    # BLOCK + b - 1 coefficients make the first full block
+    @pytest.mark.parametrize("blocks,rest", [(1, 0), (1, 1), (2, 0), (3, 100)])
+    @pytest.mark.parametrize("b", [1, 7, 13])
+    def test_block_partials_are_the_block_dots(self, monkeypatch, blocks, rest, b):
+        n = blocks * BLOCK + b - 1 + rest
+        c = vecdot_rows(n, np.random.default_rng(n))
+        self.check_partials(monkeypatch, c, b)
+        self.check_partials(monkeypatch, c[5], b)
+
+    def test_sliced_block_partials_are_the_block_dots(self, monkeypatch, cpus):
+        cpus(2)
+        n = 2 * PARALLEL_MIN + BLOCK + 5
+        c = np.random.default_rng(5).uniform(-1.0, 1.0, size=(2, n))
+        c[1, ::7] = -0.0
+        self.check_partials(monkeypatch, c, 13, slices=2)
+
+    @staticmethod
+    def check_partials(monkeypatch, c, b, slices=1):
+        """_band_dots' (block, shift) partials against one dot per pair."""
+        heads = []
+
+        def spy(fn, *args, **kwargs):
+            out = _in_slices(fn, *args, **kwargs)
+            heads.extend(out)
+            return out
+
+        monkeypatch.setattr(norms, "_in_slices", spy)
+        _band_dots(c, b)
+        assert len(heads) == slices
+        parts = np.concatenate(heads, axis=-2)
+        nfull = (c.shape[-1] - b + 1) // BLOCK
+        assert parts.shape == c.shape[:-1] + (nfull, b)
+        for row, got in zip(c.reshape(-1, c.shape[-1]), parts.reshape(-1, nfull, b)):
+            ref = [
+                [row[lo : lo + BLOCK].dot(row[lo + j : lo + j + BLOCK]) for j in range(b)]
+                for lo in range(0, nfull * BLOCK, BLOCK)
+            ]
+            assert bits(got) == bits(ref)
 
 
 CPU_COUNTS = (1, 2, 3, 8)
