@@ -73,8 +73,8 @@ def sharp_constant(m: int, k: int, spacing: float = 1.0) -> float:
     exists, for a spacing that is not a positive finite number, and when
     the constant overflows a float.
     """
-    _check_degree(m)
-    _check_order(m, k)
+    m = _check_degree(m)
+    k = _check_order(m, k)
     _check_spacing(spacing)
     if k == 0:
         return 1.0

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import contextvars
 import math
+import operator
 import os
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -98,12 +99,24 @@ def _in_slices(
         return [first] + [f.result() for f in rest]
 
 
-def _check_degree(m: int, least: int = 0) -> None:
-    """Reject a degree below ``least``: 0, or 1 where a derivative is taken."""
+def _integer(n, name: str) -> int:
+    """n as an int if it is integral (an int, a bool or a numpy integer);
+    anything else, 3.0 and NaN included, raises "<name> must be an integer"."""
+    try:
+        return operator.index(n)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer") from None
+
+
+def _check_degree(m: int, least: int = 0) -> int:
+    """m as an int; reject a degree that is not an integer, or is below
+    ``least``: 0, or 1 where a derivative is taken."""
+    m = _integer(m, "degree")
     if m < least:
         if least == 0:
             raise ValueError("degree must be non-negative")
         raise ValueError(f"degree must be at least {least}")
+    return m
 
 
 def _check_spacing(spacing: float) -> None:
@@ -170,8 +183,7 @@ def gram_autocorrelation(m: int) -> Array:
     periodized squared symbol and the entries of the banded Gram matrix
     used for exact L2 norms.
     """
-    _check_degree(m)
-    return np.array(_autocorr(m), dtype=np.float64)
+    return np.array(_autocorr(_check_degree(m)), dtype=np.float64)
 
 
 @dataclass(frozen=True, eq=False)
@@ -194,7 +206,7 @@ class CardinalSpline:
     coeffs: Array
 
     def __post_init__(self) -> None:
-        _check_degree(self.degree)
+        object.__setattr__(self, "degree", _check_degree(self.degree))
         _check_spacing(self.knot_spacing)
         # C order: a strided BLAS dot need not give the contiguous one's bits
         c = np.asarray(self.coeffs, dtype=np.float64, order="C")

@@ -48,8 +48,9 @@ __all__ = [
 ]
 
 
-class UsageError(Exception):
-    """Bad command-line input; mapped to exit code 2."""
+# Bad input, whether the library or the CLI's own rules refuse it, is a
+# ValueError, and main maps it to exit code 2.
+UsageError = ValueError
 
 
 @dataclass
@@ -270,14 +271,6 @@ def parse_record(text: str, fmt: str) -> OutputRecord:
 # -- subcommands -----------------------------------------------------------
 
 
-def _usage(fn, *args):
-    """``fn(*args)``, with a ValueError of the library as a UsageError."""
-    try:
-        return fn(*args)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
-
-
 def _transposed(keys: tuple, rows: list) -> dict:
     """The columns ``keys`` of a table given as row tuples."""
     return dict(zip(keys, map(list, zip(*rows))))
@@ -289,16 +282,16 @@ def cmd_constants(
     """Sharp constants and their Favard ingredients for all k ≤ min(m, k_max)."""
     if m_max < 0 or k_max < 0:
         raise UsageError("degree and order bounds must be non-negative")
-    _usage(_check_spacing, spacing)
+    _check_spacing(spacing)
     h = 1.0 / spacing
     if h == math.inf:
         raise UsageError(f"h = 1/spacing overflows at spacing {spacing!r}")
     # K[i] is K_{2i+1}, each series summed once
-    K = [_usage(favard, 2 * i + 1, rtol).value for i in range(m_max + 1)]
+    K = [favard(2 * i + 1, rtol).value for i in range(m_max + 1)]
     rows = []
     for m in range(m_max + 1):
         for k in range(min(m, k_max) + 1):
-            constant = _usage(sharp_constant, m, k, spacing)
+            constant = sharp_constant(m, k, spacing)
             num, den = 2 * (m - k) + 1, 2 * m + 1
             rows.append((m, k, spacing, h, constant, num, K[m - k], den, K[m]))
     keys = ("m", "k", "delta", "h", "constant", "K_num_index", "K_num")
@@ -319,10 +312,10 @@ def cmd_symbol(m: int, points: int, rtol: float = 1e-12) -> OutputRecord:
     if points < 2:
         raise UsageError("need at least two sweep points")
     # the root product's ceilings, before any route runs
-    _usage(_check_symbol_degree, m)
+    _check_symbol_degree(m)
     grid = np.linspace(0.0, 2.0 * math.pi, points)
-    efp = _usage(symbol_via_ef, m, grid)
-    lat = _usage(symbol_lattice, m, grid, rtol)
+    efp = symbol_via_ef(m, grid)
+    lat = symbol_lattice(m, grid, rtol)
     four = symbol_fourier(m, grid)
     arrays = {
         "omega": grid,
@@ -356,7 +349,7 @@ def cmd_verify(
     number of trials, each giving every trial the floats it would get
     alone.  An error names the lowest-numbered failing trial.
     """
-    constant = _usage(sharp_constant, m, k, spacing)
+    constant = sharp_constant(m, k, spacing)
     if trials < 1:
         raise UsageError("need at least one trial")
     if seed < 0:
@@ -411,7 +404,7 @@ def cmd_verify(
 
 def cmd_extremal(m: int, n_list: list[int]) -> OutputRecord:
     """Convergence of the alternating-coefficient ratio toward the constant."""
-    _usage(_check_degree, m, 1)
+    _check_degree(m, 1)
     if not n_list:
         raise UsageError("need at least one sequence length")
     if any(n < 0 for n in n_list):
@@ -438,17 +431,16 @@ def cmd_roots(n_max: int) -> OutputRecord:
     """
     if n_max < 3 or n_max % 2 == 0:
         raise UsageError("max order must be an odd integer >= 3")
-    _usage(_check_ef_order, n_max)
-    rows = []
+    _check_ef_order(n_max)
+    rows, inner = [], None
     for n in range(3, n_max + 1, 2):
         roots = ef_roots(n)
+        # _roots_cached certifies (n-1)//2 of them, one more than at n - 2
+        outer = representative_roots(n)
         interlaced = None
-        if n >= 5:
-            inner = representative_roots(n - 2)
-            outer = representative_roots(n)
-            interlaced = len(inner) + 1 == len(outer) and bool(
-                np.all((outer[:-1] < inner) & (inner < outer[1:]))
-            )
+        if inner is not None:
+            interlaced = bool(np.all((outer[:-1] < inner) & (inner < outer[1:])))
+        inner = outer
         for i, r in enumerate(roots):
             partner = roots[len(roots) - 1 - i]
             rows.append(
@@ -552,7 +544,7 @@ def main(argv=None) -> int:
         if late:
             raise late
         return status
-    except (UsageError, ValueError) as exc:  # a library ValueError is bad input
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:  # a size no allocation can hold is bad input

@@ -12,7 +12,7 @@ from typing import Callable
 import numpy as np
 import numpy.typing as npt
 
-from .bspline import _check_degree, _prepare, _scaled_integer_samples
+from .bspline import _check_degree, _integer, _prepare, _scaled_integer_samples
 
 Array = npt.NDArray[np.float64]
 
@@ -31,27 +31,34 @@ class RootCountError(RuntimeError):
 
 def ef_coefficients_exact(n: int) -> tuple[int, ...]:
     """Exact integer coefficients, ascending powers, length n."""
+    n = _integer(n, "order")
     if n < 1:
         raise ValueError("order must be at least 1")
     return _scaled_integer_samples(n)
 
 
-def _check_ef_order(n: int) -> None:
-    """Reject, in O(1), an order above 171, the last whose coefficients are
-    floats: the root search needs no coefficient bound, but a table does."""
+def _check_ef_order(n: int) -> int:
+    """n as an int; reject an order that is not an integer, or, in O(1), one
+    above 171, the last whose coefficients are floats: the root search needs
+    no coefficient bound, but a table does."""
+    n = _integer(n, "order")
     if n > 171:
         raise ValueError(
             f"order {n} is too high: its largest coefficient exceeds the float range"
         )
+    return n
 
 
-def _check_symbol_degree(m: int) -> None:
-    """The order rule on 2m+1, then in O(1) the degrees whose root product
-    at pi is no longer a normal float (test_degree_82_underflows scans the
-    partial products to check that boundary)."""
+def _check_symbol_degree(m: int) -> int:
+    """m as an int: the degree rule, the order rule on 2m+1, then in O(1)
+    the degrees whose root product at pi is no longer a normal float
+    (test_degree_82_underflows scans the partial products to check that
+    boundary)."""
+    m = _check_degree(m)
     _check_ef_order(2 * m + 1)
     if m > 81:
         raise ValueError(f"degree {m} is too high: the root product underflows at pi")
+    return m
 
 
 def _exact_sign(coeffs: tuple[int, ...], x: float) -> int:
@@ -163,8 +170,7 @@ def _roots_cached(n: int) -> tuple[float, ...]:
 
 def ef_roots(n: int) -> Array:
     """All n-1 roots, ascending.  Empty for n = 1; ValueError from 172 on."""
-    _check_ef_order(n)
-    return np.array(_roots_cached(n), dtype=np.float64)
+    return np.array(_roots_cached(_check_ef_order(n)), dtype=np.float64)
 
 
 def representative_roots(n: int) -> Array:
@@ -192,8 +198,7 @@ def symbol_via_ef(m: int, omega):
     constant.  Independent of the Fourier-coefficient route.  ValueError
     from degree 82 on, where the product at π is no longer a normal float.
     """
-    _check_degree(m)
-    _check_symbol_degree(m)
+    m = _check_symbol_degree(m)
     w, restore = _prepare(omega)
     reps, norm = _symbol_factors(m)  # no factors and norm 1.0 at m = 0
     out = np.full_like(w, norm)

@@ -10,6 +10,7 @@ from dataclasses import dataclass
 
 from ._series import MAX_TERMS, ROUNDING_FLOOR, _check_rtol, _double_terms, _missed
 from ._series import power_tail, power_tail_bound
+from .bspline import _integer
 
 __all__ = ["ROUNDING_FLOOR", "FavardConstant", "favard"]
 
@@ -38,9 +39,10 @@ def favard(m: int, rtol: float = 1e-12) -> FavardConstant:
     Even m: the series alternates, so partial sums bracket the limit and
     the first omitted term bounds the truncation error.  m = 0 is the
     constant 1 exactly (the alternating series telescopes to pi/4).
-    Raises ValueError unless rtol is finite and above ROUNDING_FLOOR, and
-    when 1 << 22 terms do not meet it.
+    Raises ValueError unless m is a non-negative integer and rtol is finite
+    and above ROUNDING_FLOOR, and when 1 << 22 terms do not meet it.
     """
+    m = _integer(m, "index")
     if m < 0:
         raise ValueError("index must be non-negative")
     _check_rtol(rtol)

@@ -18,6 +18,7 @@ from numpy.lib.stride_tricks import as_strided
 from .bspline import (
     CardinalSpline,
     _in_slices,
+    _integer,
     _reject,
     _require_single,
     gram_autocorrelation,
@@ -41,12 +42,15 @@ def _require_spline(s) -> None:
         raise TypeError("expected a CardinalSpline")
 
 
-def _check_order(m: int, k: int) -> None:
-    """Reject a derivative order k outside 0 <= k <= m."""
+def _check_order(m: int, k: int) -> int:
+    """k as an int; reject a derivative order that is not an integer, or is
+    outside 0 <= k <= m."""
+    k = _integer(k, "derivative order")
     if k < 0:
         raise ValueError("derivative order must be non-negative")
     if k > m:
         raise ValueError("derivative order exceeds degree")
+    return k
 
 
 def derivative_coeffs(s: CardinalSpline, k: int) -> CardinalSpline:
@@ -61,7 +65,7 @@ def derivative_coeffs(s: CardinalSpline, k: int) -> CardinalSpline:
     by row.
     """
     _require_spline(s)
-    _check_order(s.degree, k)
+    k = _check_order(s.degree, k)
     c = s.coeffs
     h = s.knot_spacing
     # a difference of huge coefficients, or one divided by a tiny spacing,

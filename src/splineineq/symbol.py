@@ -49,7 +49,7 @@ def symbol_fourier(m: int, omega):
     autocorrelation sequence: a_0 + 2 sum_{j=1}^m a_j cos(j ω).  Exact up
     to rounding, 2π-periodic, even, positive, equal to 1 at ω = 0.
     """
-    _check_degree(m)
+    m = _check_degree(m)
     w, restore = _prepare(omega)
     a = gram_autocorrelation(m)
     out = np.full_like(w, a[0])
@@ -97,7 +97,7 @@ def symbol_lattice(m: int, omega, rtol: float = 1e-12) -> SymbolEval:
     miss rtol go on, with twice the terms.  Raises ValueError unless rtol is
     finite and above ROUNDING_FLOOR, and when 1 << 22 terms do not meet it.
     """
-    _check_degree(m)
+    m = _check_degree(m)
     _check_rtol(rtol)
     w, restore = _prepare(omega)
     p = 2.0 * m + 2.0
@@ -135,7 +135,7 @@ def ratio_L(m: int, omega):
     degree-m spline at frequency ω.  Even, 2π-periodic, increasing on
     [0, π], maximal at ω = π.
     """
-    _check_degree(m, 1)
+    m = _check_degree(m, 1)
     w, restore = _prepare(omega)
     num = symbol_fourier(m - 1, w)
     den = symbol_fourier(m, w)

@@ -543,6 +543,23 @@ class TestMain:
         assert code == 2
         assert "odd" in err
 
+    @pytest.mark.parametrize(
+        "args,message",
+        [
+            ("constants --max-degree 2 --spacing 0",
+             "spacing must be a positive finite number"),
+            ("symbol --degree 2 --rtol 0", "rtol must be a finite number above 4e-16"),
+            ("verify --degree 2 --order 3", "derivative order exceeds degree"),
+            ("extremal --degree 0", "degree must be at least 1"),
+        ],
+    )
+    def test_library_refusal_exits_two(self, capsys, args, message):
+        # the library's own ValueError, printed as it is
+        assert main(args.split()) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
     def test_violation_exit_code(self, monkeypatch, capsys):
         """Exit 1 is reserved for a genuine bound violation; forge one."""
 

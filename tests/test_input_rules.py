@@ -1,5 +1,5 @@
 """One contract per input: argument shape, point, degree, spacing, derivative
-order, rtol.
+order, rtol, and the integer type of a degree, order or index.
 
 Every entry point that takes the same kind of input must treat it the same
 way and, when it refuses it, say so in the same words.
@@ -35,6 +35,11 @@ from splineineq.cli import (
     cmd_extremal,
     cmd_symbol,
     cmd_verify,
+)
+from splineineq.euler_frobenius import (
+    ef_coefficients_exact,
+    ef_roots,
+    representative_roots,
 )
 from splineineq.favard import ROUNDING_FLOOR
 
@@ -163,52 +168,75 @@ class TestSpacingRule:
 
 DEGREE_NEGATIVE = "degree must be non-negative"
 DEGREE_BELOW_ONE = "degree must be at least 1"
+DEGREE_INTEGER = "degree must be an integer"
+# integral in value or not, none of these is an integer type
+NON_INTEGERS = [2.5, math.nan, np.float64(3.0)]
+
+DEGREE_CALLERS = [
+    lambda m: eval_bspline(m, 0.5),
+    lambda m: integer_samples(m),
+    lambda m: gram_autocorrelation(m),
+    lambda m: CardinalSpline(degree=m, knot_spacing=1.0, coeffs=[1.0]),
+    lambda m: symbol_fourier(m, 1.0),
+    lambda m: symbol_lattice(m, 1.0),
+    lambda m: symbol_via_ef(m, 1.0),
+    lambda m: sharp_constant(m, 0),
+    lambda m: cmd_symbol(m, 5),
+    lambda m: cmd_verify(m, 0, 1.0, 3, 0),
+]
+DEGREE_ONE_CALLERS = [
+    lambda m: bspline_derivative(m, 0.5),
+    lambda m: ratio_L(m, 1.0),
+    lambda m: cmd_extremal(m, [3]),
+]
 
 
 class TestDegreeRule:
     @pytest.mark.parametrize("m", [-1, -7])
-    @pytest.mark.parametrize(
-        "call",
-        [
-            lambda m: eval_bspline(m, 0.5),
-            lambda m: integer_samples(m),
-            lambda m: gram_autocorrelation(m),
-            lambda m: CardinalSpline(degree=m, knot_spacing=1.0, coeffs=[1.0]),
-            lambda m: symbol_fourier(m, 1.0),
-            lambda m: symbol_lattice(m, 1.0),
-            lambda m: symbol_via_ef(m, 1.0),
-            lambda m: sharp_constant(m, 0),
-            lambda m: cmd_symbol(m, 5),
-            lambda m: cmd_verify(m, 0, 1.0, 3, 0),
-        ],
-    )
+    @pytest.mark.parametrize("call", DEGREE_CALLERS)
     def test_non_negative_from_every_caller(self, call, m):
         with pytest.raises((ValueError, UsageError)) as info:
             call(m)
         assert str(info.value) == DEGREE_NEGATIVE
 
     @pytest.mark.parametrize("m", [0, -1])
-    @pytest.mark.parametrize(
-        "call",
-        [
-            lambda m: bspline_derivative(m, 0.5),
-            lambda m: ratio_L(m, 1.0),
-            lambda m: cmd_extremal(m, [3]),
-        ],
-    )
+    @pytest.mark.parametrize("call", DEGREE_ONE_CALLERS)
     def test_at_least_one_from_every_caller(self, call, m):
         with pytest.raises((ValueError, UsageError)) as info:
             call(m)
         assert str(info.value) == DEGREE_BELOW_ONE
 
+    @pytest.mark.parametrize("m", NON_INTEGERS)
+    @pytest.mark.parametrize("call", DEGREE_CALLERS + DEGREE_ONE_CALLERS)
+    def test_integer_from_every_caller(self, monkeypatch, call, m):
+        # a NaN degree used to sum lattice terms to the 2^22-term cap
+        def no_terms(*args):
+            raise AssertionError("summed lattice terms for a non-integer degree")
+
+        monkeypatch.setattr(symbol_module, "_lattice_terms", no_terms)
+        with pytest.raises(ValueError) as info:
+            call(m)
+        assert str(info.value) == DEGREE_INTEGER
+
+    def test_integral_types_are_degrees(self):
+        for m in (np.int64(3), np.int32(3), True):
+            s = CardinalSpline(degree=m, knot_spacing=1.0, coeffs=[1.0, 2.0])
+            assert type(s.degree) is int and s.degree == m
+            assert type(symbol_lattice(m, 1.0).degree) is int
+        constant = sharp_constant(np.int64(3), np.int64(1))
+        assert type(constant) is float and constant == sharp_constant(3, 1)
+
 
 ORDER_NEGATIVE = "derivative order must be non-negative"
 ORDER_ABOVE = "derivative order exceeds degree"
+ORDER_INTEGER = "derivative order must be an integer"
 
 
 class TestOrderRule:
     @pytest.mark.parametrize(
-        "k,message", [(-1, ORDER_NEGATIVE), (-5, ORDER_NEGATIVE), (4, ORDER_ABOVE)]
+        "k,message",
+        [(-1, ORDER_NEGATIVE), (-5, ORDER_NEGATIVE), (4, ORDER_ABOVE)]
+        + [(k, ORDER_INTEGER) for k in NON_INTEGERS],
     )
     @pytest.mark.parametrize(
         "call",
@@ -223,6 +251,35 @@ class TestOrderRule:
         with pytest.raises((ValueError, UsageError)) as info:
             call(k)
         assert str(info.value) == message
+
+
+class TestIndexAndEFOrderRules:
+    @pytest.mark.parametrize("n", NON_INTEGERS)
+    def test_favard_index_is_an_integer(self, monkeypatch, n):
+        # favard(2.5) returned a value, and favard(nan) summed to the cap
+        def no_pass(terms, rtol):
+            raise AssertionError("summed a pass for a non-integer index")
+
+        monkeypatch.setattr(favard_module, "_double_terms", no_pass)
+        with pytest.raises(ValueError) as info:
+            favard(n)
+        assert str(info.value) == "index must be an integer"
+
+    @pytest.mark.parametrize("n", NON_INTEGERS)
+    @pytest.mark.parametrize(
+        "call", [ef_coefficients_exact, ef_roots, representative_roots]
+    )
+    def test_ef_order_is_an_integer(self, call, n):
+        ef_roots(3)  # a cached order 3 used to answer order 3.0 as well
+        with pytest.raises(ValueError) as info:
+            call(n)
+        assert str(info.value) == "order must be an integer"
+
+    def test_integral_types_are_orders(self):
+        assert favard(np.int64(3)) == favard(3)
+        assert type(favard(np.int64(3)).index) is int
+        assert ef_roots(np.int64(5)).tolist() == ef_roots(5).tolist()
+        assert ef_coefficients_exact(np.int32(4)) == ef_coefficients_exact(4)
 
 
 RTOL = f"rtol must be a finite number above {ROUNDING_FLOOR:g}"
