@@ -24,6 +24,7 @@ from .bspline import (
     _check_degree,
     _check_spacing,
     _in_slices,
+    _integer,
     _reject,
 )
 from .favard import favard
@@ -160,6 +161,7 @@ def fejer_extremal_coeffs(n: int) -> np.ndarray:
     kernel centered at ω = π, the frequency where the symbol ratio peaks,
     which is what makes these sequences asymptotically extremal.
     """
+    n = _integer(n, "length parameter")
     if n < 0:
         raise ValueError("length parameter must be non-negative")
     c = np.empty(n + 1)
@@ -192,6 +194,7 @@ def random_spline(
     numpy's default_rng (PCG64), whose stream is part of this function's
     contract.
     """
+    count = _integer(count, "coefficient count")
     if count < 1:
         raise ValueError("need at least one coefficient")
     rng = np.random.default_rng(seed)

@@ -24,9 +24,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._float_text import float_cells
 from ._seeds import uniform_stacks
 from .bernstein import extremal_ratio, sharp_constant, verify_inequality
-from .bspline import CardinalSpline, _check_degree, _check_spacing
+from .bspline import CardinalSpline, _check_degree, _check_spacing, _integer
 from .euler_frobenius import _check_ef_order, _check_symbol_degree, ef_roots
 from .euler_frobenius import representative_roots, symbol_via_ef
 from .favard import favard
@@ -130,8 +131,6 @@ def _parse_cell(s: str):
 
 # rows rendered at once; bounds the cell strings alive beside the record
 RENDER_CHUNK = 2048
-# leading cells of a float chunk whose repeat rate picks its path in _column
-REPEAT_PROBE = 256
 
 # equal values of one of these types have one text, bar the signed zeros
 _PLAIN = (str, int, bool, float, type(None))
@@ -152,21 +151,13 @@ def _column(values: list, fmt: str) -> list[str]:
     ):
         return [_scalar(first, fmt)] * n
     if kind is float:
-        # "%.17g" is format(v, ".17g"); the cells it leaves without a point
-        # or exponent (integral values, the zeros, inf, nan) go to _scalar.
-        # A chunk whose first REPEAT_PROBE cells are under 3/4 distinct
-        # formats each distinct double once and looks its cells up.
-        probe = min(n, REPEAT_PROBE)
-        keys = values
-        if 4 * len(set(values[:probe])) < 3 * probe:
-            keys = list(dict.fromkeys(values))
-        cells = ("\n".join(["%.17g"] * len(keys)) % tuple(keys)).split("\n")
-        if keys is not values:
-            cells = list(map(dict(zip(keys, cells)).__getitem__, values))
-        return [
-            c if "." in c or "e" in c else _scalar(v, fmt)
-            for c, v in zip(cells, values)
-        ]
+        # the texts in array arithmetic; the cells it leaves out (integral
+        # values below 1e17, inf, nan, values outside its exponent range and
+        # the few whose rounding is in doubt) go to _scalar
+        cells, todo = float_cells(values)
+        for i in todo:
+            cells[i] = _scalar(values[i], fmt)
+        return cells
     if kind is int:
         return list(map(str, values))
     if kind is bool:
@@ -280,6 +271,8 @@ def cmd_constants(
     m_max: int, k_max: int, spacing: float, rtol: float = 1e-12
 ) -> OutputRecord:
     """Sharp constants and their Favard ingredients for all k ≤ min(m, k_max)."""
+    m_max = _integer(m_max, "max degree")
+    k_max = _integer(k_max, "max order")
     if m_max < 0 or k_max < 0:
         raise UsageError("degree and order bounds must be non-negative")
     _check_spacing(spacing)
@@ -309,6 +302,7 @@ def cmd_symbol(m: int, points: int, rtol: float = 1e-12) -> OutputRecord:
     zero); the symbol columns are still emitted and the caller reports a
     usage error afterwards.
     """
+    points = _integer(points, "points")
     if points < 2:
         raise UsageError("need at least two sweep points")
     # the root product's ceilings, before any route runs
@@ -350,6 +344,8 @@ def cmd_verify(
     alone.  An error names the lowest-numbered failing trial.
     """
     constant = sharp_constant(m, k, spacing)
+    trials = _integer(trials, "trials")
+    seed = _integer(seed, "seed")
     if trials < 1:
         raise UsageError("need at least one trial")
     if seed < 0:
@@ -405,6 +401,7 @@ def cmd_verify(
 def cmd_extremal(m: int, n_list: list[int]) -> OutputRecord:
     """Convergence of the alternating-coefficient ratio toward the constant."""
     _check_degree(m, 1)
+    n_list = [_integer(n, "sequence length") for n in n_list]
     if not n_list:
         raise UsageError("need at least one sequence length")
     if any(n < 0 for n in n_list):

@@ -166,7 +166,7 @@ COLUMNS = st.one_of(
     st.tuples(FLOATS, st.integers(1, 60)).map(
         lambda t: [float(repr(t[0])) for _ in range(t[1])]
     ),
-    # chunks under 3/4 distinct, which format each distinct double once
+    # long chunks of few distinct doubles, the signed zeros among them
     st.lists(st.sampled_from(SPECIAL_FLOATS + [0.5, -0.5, 1 / 3]), max_size=600),
 )
 
@@ -202,6 +202,13 @@ class TestColumn:
             ["50%", '"q"', "a,b"],
             [1, None, 2],
             [0.5, None, 0.25],
+            # chunks longer than 256 cells: doubles the array path decides
+            # around both zeros, integral doubles and doubles above 1e290,
+            # inside and outside its exponent range
+            [*[0.1 * i + 0.05 for i in range(150)], -0.0, 0.0, 3.0, 1e295,
+             1e301, *[-1.0 / (i + 7) for i in range(150)]],
+            [-0.0, *[0.0, 0.5, -0.25] * 100, 2.0**60, 1e17, sys.float_info.max],
+            [*[1e-300 * (i + 1) for i in range(260)], 1e-5, 1e-4, 1e16, -0.0],
         ],
     )
     def test_edge_columns(self, col):
@@ -224,6 +231,13 @@ class TestColumn:
         repeated[where] = bad
         with pytest.raises(ValueError, match="non-finite"):
             cli._column(repeated, fmt)
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("fmt", ["csv", "json-lines"])
+    def test_non_finite_after_distinct_doubles(self, bad, fmt):
+        col = [1.0 / (i + 3) for i in range(300)] + [bad]
+        with pytest.raises(ValueError, match="non-finite"):
+            cli._column(col, fmt)
 
 
 def _audit_like(n):

@@ -1,5 +1,5 @@
 """One contract per input: argument shape, point, degree, spacing, derivative
-order, rtol, and the integer type of a degree, order or index.
+order, rtol, and the integer type of a degree, order, index, count or length.
 
 Every entry point that takes the same kind of input must treat it the same
 way and, when it refuses it, say so in the same words.
@@ -18,7 +18,9 @@ from splineineq import (
     CardinalSpline,
     derivative_coeffs,
     eval_bspline,
+    extremal_ratio,
     favard,
+    fejer_extremal_coeffs,
     gram_autocorrelation,
     random_spline,
     ratio_L,
@@ -29,6 +31,7 @@ from splineineq import (
     symbol_via_ef,
     verify_inequality,
 )
+from splineineq import cli
 from splineineq.cli import (
     UsageError,
     cmd_constants,
@@ -280,6 +283,45 @@ class TestIndexAndEFOrderRules:
         assert type(favard(np.int64(3)).index) is int
         assert ef_roots(np.int64(5)).tolist() == ef_roots(5).tolist()
         assert ef_coefficients_exact(np.int32(4)) == ef_coefficients_exact(4)
+
+
+COUNT_CALLERS = {
+    "fejer_extremal_coeffs": (fejer_extremal_coeffs, "length parameter"),
+    "extremal_ratio": (lambda v: extremal_ratio(2, v), "length parameter"),
+    "random_spline": (lambda v: random_spline(2, v, seed=0), "coefficient count"),
+    "cmd_verify trials": (lambda v: cmd_verify(2, 1, 1.0, v, 0), "trials"),
+    "cmd_verify seed": (lambda v: cmd_verify(2, 1, 1.0, 3, v), "seed"),
+    "cmd_extremal": (lambda v: cmd_extremal(2, [3, v]), "sequence length"),
+    "cmd_constants degree": (lambda v: cmd_constants(v, 2, 1.0), "max degree"),
+    "cmd_constants order": (lambda v: cmd_constants(2, v, 1.0), "max order"),
+    "cmd_symbol": (lambda v: cmd_symbol(3, v), "points"),
+}
+
+
+class TestCountRule:
+    @pytest.mark.parametrize("v", NON_INTEGERS)
+    @pytest.mark.parametrize("name", COUNT_CALLERS)
+    def test_one_message_before_any_work(self, monkeypatch, name, v):
+        # each used to fail inside numpy or range() with a TypeError
+        def no_work(*args, **kwargs):
+            raise AssertionError("worked on a count that is not an integer")
+
+        for attr in ("extremal_ratio", "favard", "symbol_via_ef", "uniform_stacks"):
+            monkeypatch.setattr(cli, attr, no_work)
+        call, what = COUNT_CALLERS[name]
+        with pytest.raises(ValueError) as info:
+            call(v)
+        assert str(info.value) == f"{what} must be an integer"
+
+    def test_integral_types_are_counts(self):
+        assert fejer_extremal_coeffs(np.int64(4)).tolist() == [1.0, -1.0, 1.0, -1.0, 1.0]
+        assert extremal_ratio(2, np.int32(7)) == extremal_ratio(2, 7)
+        s = random_spline(2, np.int64(5), seed=0)
+        assert bits(s.coeffs) == bits(random_spline(2, 5, seed=0).coeffs)
+        assert cmd_symbol(3, np.int64(5)) == cmd_symbol(3, 5)
+        assert cmd_extremal(2, [np.int64(3)]) == cmd_extremal(2, [3])
+        assert cmd_constants(np.int64(2), True, 1.0) == cmd_constants(2, 1, 1.0)
+        assert cmd_verify(2, 1, 1.0, np.int64(3), np.int64(1)) == cmd_verify(2, 1, 1.0, 3, 1)
 
 
 RTOL = f"rtol must be a finite number above {ROUNDING_FLOOR:g}"
