@@ -5,7 +5,6 @@ the package."""
 from __future__ import annotations
 
 import math
-from itertools import repeat
 
 import numpy as np
 
@@ -38,14 +37,23 @@ def _missed(rtol: float) -> ValueError:
 
 
 def libm_pow(x, y: float):
-    """x ** y by the C library's pow, for a float or elementwise for a 1-D array.
+    """x ** y by the C library's pow, for a finite non-negative float or
+    elementwise for an array of them.
 
-    numpy's vectorised power differs from libm's pow in the last bit for
-    about 5% of inputs, and published values must not move, so a float and
-    its element of an array get the same bits.
+    Published values must not move, so a float and its element of an array
+    get the same bits: math.pow for a float, and for an array one
+    np.float_power call, whose float64 loop calls the C library's pow for
+    each element.  np.power is not used: numpy sends float64 powers to its
+    own SIMD code where the CPU has it (AVX-512), and that differs from
+    libm's pow in the last bit for about 5% of inputs.
     """
     if isinstance(x, np.ndarray):
-        return np.fromiter(map(math.pow, x.tolist(), repeat(y)), np.float64, x.size)
+        # math.pow underflows silently and raises OverflowError on overflow
+        with np.errstate(over="raise", under="ignore"):
+            try:
+                return np.float_power(x, y)
+            except FloatingPointError:
+                raise OverflowError("math range error") from None
     return math.pow(x, y)
 
 

@@ -51,11 +51,20 @@ def symbol_fourier(m: int, omega):
     """
     m = _check_degree(m)
     w, restore = _prepare(omega)
-    a = gram_autocorrelation(m)
-    out = np.full_like(w, a[0])
-    for j in range(1, m + 1):
-        out += 2.0 * a[j] * np.cos(j * w)
+    (out,) = _cosine_sums(w, gram_autocorrelation(m))
     return restore(out)
+
+
+def _cosine_sums(w: Array, *coeffs: Array) -> list[Array]:
+    """a_0 + 2 sum_j a_j cos(j ω) for each coefficient vector a, in that
+    order of j, with each cos(j w) computed once for all of them."""
+    sums = [np.full_like(w, a[0]) for a in coeffs]
+    for j in range(1, max(a.size for a in coeffs)):
+        c = np.cos(j * w)
+        for out, a in zip(sums, coeffs):
+            if j < a.size:
+                out += 2.0 * a[j] * c
+    return sums
 
 
 def _lattice_terms(r: Array, s: Array, p: float, terms: int) -> Array:
@@ -104,21 +113,27 @@ def symbol_lattice(m: int, omega, rtol: float = 1e-12) -> SymbolEval:
     # Reduce to the principal period first: IEEE remainder is exact, and
     # it keeps every lattice denominator safely away from zero.
     r = np.fromiter(map(math.remainder, w.tolist(), repeat(_TWO_PI)), np.float64)
-    s = 2.0 * np.abs(np.fromiter(map(math.sin, (0.5 * r).tolist()), np.float64))
     # At a lattice frequency every term but one vanishes and the surviving
     # limit is exactly 1.
     value, bound = np.ones_like(r), np.zeros_like(r)
     live = np.flatnonzero(r != 0.0)
-    for start in range(0, live.size, ROWS):
-        rows, terms = live[start : start + ROWS], 8
-        while True:
-            block = _lattice_terms(r[rows, None], s[rows, None], p, terms)
-            v, b = _lattice_total(r[rows], s[rows], p, terms, fsum_rows(block))
-            value[rows], bound[rows] = v, b
-            rows = rows[~(b <= rtol * v)]
-            if not rows.size:
-                break
-            terms = _double_terms(terms, rtol)
+    # Terms and tails underflow as p grows, silently as in math.pow,
+    # whatever the caller's errstate.  No tail power can overflow: each
+    # takes an argument above 17π > 53 to a negative exponent, and a term's
+    # base is at most 1.  Only s**p can, s <= 2, and then only above degree
+    # 510 (p > 1023), where libm_pow raises OverflowError as math.pow does.
+    with np.errstate(under="ignore"):
+        s = 2.0 * np.abs(np.fromiter(map(math.sin, (0.5 * r).tolist()), np.float64))
+        for start in range(0, live.size, ROWS):
+            rows, terms = live[start : start + ROWS], 8
+            while True:
+                block = _lattice_terms(r[rows, None], s[rows, None], p, terms)
+                v, b = _lattice_total(r[rows], s[rows], p, terms, fsum_rows(block))
+                value[rows], bound[rows] = v, b
+                rows = rows[~(b <= rtol * v)]
+                if not rows.size:
+                    break
+                terms = _double_terms(terms, rtol)
     return SymbolEval(
         degree=m,
         omega=restore(w),
@@ -137,7 +152,7 @@ def ratio_L(m: int, omega):
     """
     m = _check_degree(m, 1)
     w, restore = _prepare(omega)
-    num = symbol_fourier(m - 1, w)
-    den = symbol_fourier(m, w)
+    # both symbols as symbol_fourier sums them, from one cosine table
+    num, den = _cosine_sums(w, gram_autocorrelation(m - 1), gram_autocorrelation(m))
     return restore(4.0 * np.sin(0.5 * w) ** 2 * num / den)
 

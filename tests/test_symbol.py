@@ -11,6 +11,8 @@ from numpy.testing import assert_allclose
 
 from splineineq import symbol as symbol_module
 from splineineq._series import fsum_rows, libm_pow, power_tail, power_tail_bound
+from splineineq.cli import cmd_constants, cmd_extremal, cmd_verify, render_record
+from splineineq.euler_frobenius import symbol_via_ef
 from splineineq.symbol import ratio_L, symbol_fourier, symbol_lattice
 
 TWO_PI = 2 * math.pi
@@ -181,6 +183,38 @@ class TestSymbolLatticeArray:
         symbol_lattice(m, np.append(grid, [1e-300, math.pi]), 4.0000001e-16)
         assert max(widths) <= 257
 
+    def test_caller_errstate_raise_changes_no_bit(self):
+        # the lattice's terms and tails underflow from degree 45 on; that is
+        # expected, and a caller who raises on every float error gets the
+        # bytes of a default run, as math.pow's silent underflow gives them
+        grid = np.linspace(0.0, TWO_PI, 257)
+        for m in range(82):
+            want = symbol_lattice(m, grid)
+            with np.errstate(all="raise"):
+                got = symbol_lattice(m, grid)
+            assert got.value.tobytes() == want.value.tobytes(), m
+            assert got.tail_bound.tobytes() == want.tail_bound.tobytes(), m
+        # the other symbol routes and the commands that reach no lattice
+        guards = [
+            lambda: symbol_fourier(81, grid).tobytes(),
+            lambda: ratio_L(81, grid).tobytes(),
+            lambda: symbol_via_ef(81, grid).tobytes(),
+            lambda: render_record(cmd_verify(6, 3, 0.5, 200, 0), "json-lines"),
+            lambda: render_record(cmd_extremal(12, [0, 1, 3, 511]), "json-lines"),
+            lambda: render_record(cmd_constants(12, 12, 1.0), "json-lines"),
+        ]
+        for run in guards:
+            want = run()
+            with np.errstate(all="raise"):
+                assert run() == want
+
+    def test_overflow_raises_as_math_pow(self):
+        # 2|sin(1.5)| ** 1202 is past the float range: the tails' libm_pow
+        # raises, as math.pow does, for a scalar and an array alike
+        for omega in (3.0, np.array([1.0, 3.0])):
+            with pytest.raises(OverflowError):
+                symbol_lattice(600, omega)
+
     def test_lattice_points_exact(self):
         got = symbol_lattice(3, np.array([0.0, TWO_PI, -4 * math.pi]))
         assert got.value.tolist() == [1.0, 1.0, 1.0]
@@ -225,6 +259,53 @@ class TestLibmPow:
             got = f(arr, TWO_PI, p)
             assert got.tobytes() == np.array([f(x, TWO_PI, p) for x in first]).tobytes()
         assert libm_pow(arr, -p).tolist() == [x**-p for x in first]
+
+    def test_array_path_is_libm_on_the_lattice_domain(self):
+        # every power the lattice takes, degrees 0..85: s**p, and the five
+        # tail exponents at first_up and first_dn for 8 * 2**k terms
+        r = np.concatenate(
+            [
+                np.linspace(-math.pi, math.pi, 3001),
+                [5e-324, -1e-323, 2.0**-1022, 1e-310, 1e-160, -1e-8, math.pi],
+            ]
+        )
+        r = r[r != 0.0]
+        s = np.append(2.0 * np.abs(np.sin(0.5 * r)), [2.0, 5e-324, 1e-309])
+        firsts = []
+        for k in range(20):
+            terms, rk = 8 << k, r[k::20]
+            firsts += [rk + TWO_PI * (terms + 1), -(rk - TWO_PI * (terms + 1))]
+        first = np.concatenate(firsts)
+        for p in np.arange(2.0, 173.0, 2.0):
+            cases = [(s, p)] + [(first, -q) for q in (p - 1, p, p + 1, p + 3, p + 5)]
+            for x, y in cases:
+                want = np.array([math.pow(v, y) for v in x.tolist()])
+                got = libm_pow(x, y)
+                assert got.view(np.uint64).tobytes() == want.view(np.uint64).tobytes()
+
+    def test_array_path_calls_no_math_pow(self, monkeypatch):
+        calls = []
+        real = math.pow
+
+        def counted(x, y):
+            calls.append(x)
+            return real(x, y)
+
+        monkeypatch.setattr(math, "pow", counted)
+        libm_pow(np.linspace(60.0, 600.0, 1024), -25.0)
+        assert calls == []
+        assert libm_pow(60.0, -25.0) == real(60.0, -25.0)
+        assert calls == [60.0]
+
+    def test_array_path_overflows_and_underflows_as_math_pow(self):
+        # math.pow(2.0, 1100.0) raises OverflowError
+        with pytest.raises(OverflowError):
+            libm_pow(np.array([1.0, 2.0]), 1100.0)
+        # underflow is silent, whatever the caller's errstate
+        with np.errstate(all="raise"):
+            got = libm_pow(np.array([1e5, 2.0]), -172.0)
+        assert got.tolist() == [math.pow(1e5, -172.0), math.pow(2.0, -172.0)]
+        assert got[0] == 0.0
 
 
 def _nonnegative_rows(draw_floats):
@@ -338,4 +419,38 @@ class TestRatio:
     def test_degree_zero_rejected(self):
         with pytest.raises(ValueError):
             ratio_L(0, 1.0)
+
+    @staticmethod
+    def _formed(m, w):
+        return 4.0 * np.sin(0.5 * w) ** 2 * symbol_fourier(m - 1, w) / symbol_fourier(m, w)
+
+    def test_bits_of_the_two_fourier_sums(self):
+        # one cosine table serves both sums; each keeps symbol_fourier's bits
+        grids = [
+            np.linspace(0.0, TWO_PI, 257),
+            np.linspace(0.0, TWO_PI, 16385),
+            np.linspace(-50.0, 50.0, 1001),
+            np.array([-3.0, -1e3, 1e5, -7.25e9, 1e15, 1e300]),
+        ]
+        for m in range(1, 82):
+            for w in grids:
+                assert ratio_L(m, w).tobytes() == self._formed(m, w).tobytes(), m
+            for w in (0.0, 1.0, math.pi, -2.5, 1e6, -1e12):
+                got = ratio_L(m, w)
+                assert isinstance(got, float)
+                want = np.float64(self._formed(m, w))
+                assert np.float64(got).tobytes() == want.tobytes(), (m, w)
+
+    @pytest.mark.parametrize("m", [1, 2, 12, 81])
+    def test_one_cosine_pass_per_degree(self, monkeypatch, m):
+        passes = []
+        real = np.cos
+
+        def counted(x):
+            passes.append(x.size)
+            return real(x)
+
+        monkeypatch.setattr(np, "cos", counted)
+        ratio_L(m, np.linspace(0.0, TWO_PI, 33))
+        assert passes == [33] * m
 
