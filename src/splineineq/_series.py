@@ -8,7 +8,7 @@ import math
 
 import numpy as np
 
-__all__ = ["ROUNDING_FLOOR", "fsum_rows", "libm_pow", "power_tail", "power_tail_bound"]
+__all__ = ["ROUNDING_FLOOR", "fsum_rows", "libm_pow", "power_tail"]
 
 # Relative rounding error charged to every computed constant; a relative
 # tolerance at or below it can never be met.
@@ -93,11 +93,14 @@ def _two_sum(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def power_tail(first, step: float, p: float):
-    """Euler-Maclaurin estimate of sum_{l>=0} (first + step*l)^(-p).
+    """Euler-Maclaurin estimate of sum_{l>=0} (first + step*l)^(-p), and a
+    bound on its error.
 
     Truncated after the B_4 term.  ``first`` is the smallest argument in
     the tail, a float or a 1-D array of them; ``step`` the lattice
-    spacing, ``p > 1`` the decay exponent.
+    spacing, ``p > 1`` the decay exponent.  The integrand x^(-p) is
+    completely monotone, so the remainder is enveloped by the first
+    omitted term, which is the bound.
     """
     if p <= 1.0:
         raise ValueError("tail diverges unless p > 1")
@@ -105,24 +108,5 @@ def power_tail(first, step: float, p: float):
     half = 0.5 * libm_pow(first, -p)
     b2 = step * p * libm_pow(first, -(p + 1.0)) / 12.0
     b4 = step**3 * p * (p + 1.0) * (p + 2.0) * libm_pow(first, -(p + 3.0)) / 720.0
-    return head + half + b2 - b4
-
-
-def power_tail_bound(first, step: float, p: float):
-    """Bound on the error of :func:`power_tail`, for a float or a 1-D array.
-
-    The integrand x^(-p) is completely monotone, so the Euler-Maclaurin
-    remainder after the B_4 term is enveloped by the first omitted term.
-    """
-    if p <= 1.0:
-        raise ValueError("tail diverges unless p > 1")
-    return (
-        step**5
-        * p
-        * (p + 1.0)
-        * (p + 2.0)
-        * (p + 3.0)
-        * (p + 4.0)
-        * libm_pow(first, -(p + 5.0))
-        / 30240.0
-    )
+    b6 = step**5 * p * (p + 1.0) * (p + 2.0) * (p + 3.0) * (p + 4.0)
+    return head + half + b2 - b4, b6 * libm_pow(first, -(p + 5.0)) / 30240.0

@@ -176,8 +176,9 @@ def fejer_extremal_coeffs(n: int) -> np.ndarray:
 def extremal_ratio(m: int, n: int) -> float:
     """Derivative-to-function norm ratio of the alternating spline.
 
-    Monotone increasing in n toward sharp_constant(m, 1); already above
-    95 percent of it for a few hundred coefficients.
+    Monotone increasing in n toward sharp_constant(m, 1), more slowly as
+    m grows: at n = 511 it is 0.994 of the constant at m = 3, 0.947 at
+    m = 6, 0.800 at m = 8 and 0.245 at m = 14.
     """
     s = CardinalSpline(degree=m, knot_spacing=1.0, coeffs=fejer_extremal_coeffs(n))
     norm_sq = l2_norm_sq(s)

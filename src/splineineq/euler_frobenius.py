@@ -124,8 +124,11 @@ def _bisect_root(
 
 def _search_grid(n: int, intervals: int) -> Array:
     """-2^-t for t = i·(n + 8)/intervals, i = 0..intervals, each mantissa cut
-    to 12 bits.  Doubling ``intervals`` halves the step exactly, so the
-    finer grid holds every point of the coarser one at its even indices.
+    to 12 bits.
+
+    Short mantissas keep _exact_sign's integers short: with full mantissas,
+    the cold odd orders 101..171 took a median 1.23 times as long in six
+    alternating pairs on a 2-vCPU VM (longer in five, 0.97 in one).
     """
     t = np.arange(intervals + 1) * ((n + 8.0) / intervals)
     mant, exp = np.frexp(-np.exp2(-t))
@@ -138,21 +141,18 @@ def _roots_cached(n: int) -> tuple[float, ...]:
     # root can be -1, a root at even n and the first grid point, skipped
     # there, so no other dyadic point is a root.  The smallest root is about
     # -2^-n, and (n-1)//2 sign changes in (-1, 0) certify one root per
-    # bracket.  Each doubling signs only the new points.  With exact signs a
-    # simple root has one bracket of adjacent floats, found from any start:
-    # the outer root's search starts from the inner root's last bracket.
+    # bracket; each pass signs a fresh grid of twice the intervals.  With
+    # exact signs a simple root has one bracket of adjacent floats, found
+    # from any start: the outer root's search starts from the inner root's
+    # last bracket.
     sign = _signer(ef_coefficients_exact(n))
     skip = 1 - n % 2
-    grid = _search_grid(n, 4 * n)
-    signs = np.array([sign(x) for x in grid.tolist()])
-    for _ in range(8):
+    for k in range(8):
+        grid = _search_grid(n, 4 * n << k)
+        signs = np.array([sign(x) for x in grid.tolist()])
         at = np.flatnonzero(signs[skip:-1] != signs[skip + 1 :]) + skip
         if at.size == (n - 1) // 2:
             break
-        grid = _search_grid(n, 2 * (grid.size - 1))
-        finer = np.repeat(signs, 2)[:-1]
-        finer[1::2] = [sign(x) for x in grid[1::2].tolist()]
-        signs = finer
     else:
         raise RootCountError(f"found {at.size} roots in (-1, 0) for order {n}")
     roots = [-1.0] * skip

@@ -9,7 +9,7 @@ import math
 from dataclasses import dataclass
 
 from ._series import MAX_TERMS, ROUNDING_FLOOR, _check_rtol, _double_terms, _missed
-from ._series import power_tail, power_tail_bound
+from ._series import power_tail
 from .bspline import _integer
 
 __all__ = ["ROUNDING_FLOOR", "FavardConstant", "favard"]
@@ -65,8 +65,7 @@ def favard(m: int, rtol: float = 1e-12) -> FavardConstant:
         )
         first = 2.0 * terms + 1.0
         if odd:
-            tail = power_tail(first, 2.0, p)
-            bound = power_tail_bound(first, 2.0, p)
+            tail, bound = power_tail(first, 2.0, p)
         else:  # the partial sums bracket the limit
             tail, bound = 0.0, first**-p
         value = pref * (partial + tail)

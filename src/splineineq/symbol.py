@@ -11,8 +11,7 @@ from itertools import repeat
 import numpy as np
 import numpy.typing as npt
 
-from ._series import _check_rtol, _double_terms, fsum_rows, libm_pow
-from ._series import power_tail, power_tail_bound
+from ._series import _check_rtol, _double_terms, fsum_rows, libm_pow, power_tail
 from .bspline import _check_degree, _prepare, gram_autocorrelation
 
 Array = npt.NDArray[np.float64]
@@ -73,17 +72,12 @@ def _lattice_terms(r: Array, s: Array, p: float, terms: int) -> Array:
     return (s / np.abs(r + _TWO_PI * ls)) ** p
 
 
-def _lattice_total(r: Array, s: Array, p: float, terms: int, partial: Array) -> tuple:
+def _lattice_total(r: Array, sp: Array, p: float, terms: int, partial: Array) -> tuple:
     """``partial``, the row sums of the explicit terms, plus both tails, and
-    the tails' error bound; the tails' powers are libm's (libm_pow)."""
-    first_up = r + _TWO_PI * (terms + 1)
-    first_dn = -(r - _TWO_PI * (terms + 1))
-    sp = libm_pow(s, p)
-    tail = sp * (power_tail(first_up, _TWO_PI, p) + power_tail(first_dn, _TWO_PI, p))
-    bound = sp * (
-        power_tail_bound(first_up, _TWO_PI, p) + power_tail_bound(first_dn, _TWO_PI, p)
-    )
-    return partial + tail, bound
+    the tails' error bound; ``sp`` is each row's s**p, by libm_pow."""
+    tail_up, bound_up = power_tail(r + _TWO_PI * (terms + 1), _TWO_PI, p)
+    tail_dn, bound_dn = power_tail(-(r - _TWO_PI * (terms + 1)), _TWO_PI, p)
+    return partial + sp * (tail_up + tail_dn), sp * (bound_up + bound_dn)
 
 
 # Frequencies summed together.  Above the rounding floor every p >= 2 meets
@@ -104,7 +98,9 @@ def symbol_lattice(m: int, omega, rtol: float = 1e-12) -> SymbolEval:
     each pass adds both tails to the row sums of the chunk's terms (finite
     and non-negative, as fsum_rows requires), and only the frequencies that
     miss rtol go on, with twice the terms.  Raises ValueError unless rtol is
-    finite and above ROUNDING_FLOOR, and when 1 << 22 terms do not meet it.
+    finite and above ROUNDING_FLOOR, when 1 << 22 terms do not meet it, and
+    when (2|sin(ω/2)|)^(2m+2) overflows at some frequency, which can happen
+    only above degree 510.
     """
     m = _check_degree(m)
     _check_rtol(rtol)
@@ -121,14 +117,21 @@ def symbol_lattice(m: int, omega, rtol: float = 1e-12) -> SymbolEval:
     # whatever the caller's errstate.  No tail power can overflow: each
     # takes an argument above 17π > 53 to a negative exponent, and a term's
     # base is at most 1.  Only s**p can, s <= 2, and then only above degree
-    # 510 (p > 1023), where libm_pow raises OverflowError as math.pow does.
+    # 510 (p > 1023): it is taken once, before any pass, and its overflow
+    # is the ValueError of a degree too high for these frequencies.
     with np.errstate(under="ignore"):
         s = 2.0 * np.abs(np.fromiter(map(math.sin, (0.5 * r).tolist()), np.float64))
+        try:
+            sp = libm_pow(s, p)
+        except OverflowError:
+            raise ValueError(
+                f"degree {m} is too high: (2|sin(ω/2)|)^{p:g} overflows"
+            ) from None
         for start in range(0, live.size, ROWS):
             rows, terms = live[start : start + ROWS], 8
             while True:
                 block = _lattice_terms(r[rows, None], s[rows, None], p, terms)
-                v, b = _lattice_total(r[rows], s[rows], p, terms, fsum_rows(block))
+                v, b = _lattice_total(r[rows], sp[rows], p, terms, fsum_rows(block))
                 value[rows], bound[rows] = v, b
                 rows = rows[~(b <= rtol * v)]
                 if not rows.size:

@@ -15,11 +15,19 @@ from splineineq.bernstein import (
     sharp_constant,
     verify_inequality,
 )
-from splineineq.bspline import CardinalSpline, _scaled_integer_samples
+from splineineq.bspline import CardinalSpline
 from splineineq.euler_frobenius import ef_roots, representative_roots, symbol_via_ef
 from splineineq.favard import favard
 from splineineq.norms import derivative_coeffs, l2_norm_sq, l2_norm_sq_quadrature
 from splineineq.symbol import ratio_L, symbol_fourier, symbol_lattice
+
+from symbol_extras import (
+    half_angle_form,
+    key_lemma_numerator,
+    poly_mul,
+    sign_variations,
+    symbol_at_pi,
+)
 
 PI = math.pi
 
@@ -251,14 +259,6 @@ def euler_square_integrals(top: int) -> list[Fraction]:
     ]
 
 
-def symbol_at_pi(m: int) -> Fraction:
-    """S_m(π), the periodized squared symbol of N_m at π, exact: the
-    alternating sum of the Gram autocorrelations a_j = N_{2m+1}(m+1+j)."""
-    s = _scaled_integer_samples(2 * m + 1)
-    alternating = s[m] + 2 * sum((-1) ** j * s[m + j] for j in range(1, m + 1))
-    return Fraction(alternating, math.factorial(2 * m + 1))
-
-
 def test_criterion_10_euler_polynomial_oracle():
     """The periodic Euler spline attains every constant at unit spacing, and
     on [0, 1] it is a multiple of the Euler polynomial E_m, whose k-th
@@ -282,4 +282,31 @@ def test_criterion_10_euler_polynomial_oracle():
         mismatches == 0 and worst <= 1e-14,
         f"1 <= k <= m <= {top}: {mismatches} exact mismatches, "
         f"sharp_constant^2 worst rel {worst:.2e}, {dt:.2f}s",
+    )
+
+
+def test_criterion_11_key_lemma_per_degree():
+    """R = 4 sin²(ω/2) S_{m-1}/S_m = 2(1 - x) S_{m-1}(x)/S_m(x) falls
+    strictly in x = cos ω on (-1, 1), so it increases strictly in ω on
+    (0, π): an exact proof, per degree, that the sharp constant's maximum
+    is at π.  The controls show that the test sees a sign variation."""
+    t0 = time.perf_counter()
+    top = 40
+    failed = []
+    # x, 4x² - 1 and (1 + 3x)(5 - 7x) have roots in (-1, 1)
+    controls = [[0, 1], [-1, 0, 4], poly_mul([1, 3], [5, -7])]
+    for m in range(1, top + 1):
+        n = key_lemma_numerator(m)
+        if max(half_angle_form(n)) >= 0:
+            failed.append(m)
+        if m > 1:  # N is a constant at m = 1
+            controls.append([-n[0], *n[1:]])  # its constant term's sign flipped
+    blind = [c for c in controls if sign_variations(half_angle_form(c)) == 0]
+    dt = time.perf_counter() - t0
+    _verdict(
+        11,
+        not failed and not blind and dt < 1.0,
+        f"1 <= m <= {top}: {len(failed)} degrees with a coefficient >= 0, "
+        f"{len(blind)} of {len(controls)} controls without a sign variation, "
+        f"{dt:.2f}s",
     )

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,10 +11,12 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from splineineq import symbol as symbol_module
-from splineineq._series import fsum_rows, libm_pow, power_tail, power_tail_bound
+from splineineq._series import fsum_rows, libm_pow, power_tail
 from splineineq.cli import cmd_constants, cmd_extremal, cmd_verify, render_record
 from splineineq.euler_frobenius import symbol_via_ef
 from splineineq.symbol import ratio_L, symbol_fourier, symbol_lattice
+
+from symbol_extras import symbol_at_pi
 
 TWO_PI = 2 * math.pi
 
@@ -116,12 +119,10 @@ def lattice_reference(m, omega, rtol):
         partial = math.fsum(sorted(vals))
         first_up = r + TWO_PI * (terms + 1)
         first_dn = -(r - TWO_PI * (terms + 1))
-        tail = s**p * (
-            power_tail(first_up, TWO_PI, p) + power_tail(first_dn, TWO_PI, p)
-        )
-        bound = s**p * (
-            power_tail_bound(first_up, TWO_PI, p) + power_tail_bound(first_dn, TWO_PI, p)
-        )
+        tail_up, bound_up = power_tail(first_up, TWO_PI, p)
+        tail_dn, bound_dn = power_tail(first_dn, TWO_PI, p)
+        tail = s**p * (tail_up + tail_dn)
+        bound = s**p * (bound_up + bound_dn)
         value = partial + tail
         if bound <= rtol * value or terms >= 1 << 22:
             return value, bound
@@ -208,12 +209,21 @@ class TestSymbolLatticeArray:
             with np.errstate(all="raise"):
                 assert run() == want
 
-    def test_overflow_raises_as_math_pow(self):
-        # 2|sin(1.5)| ** 1202 is past the float range: the tails' libm_pow
-        # raises, as math.pow does, for a scalar and an array alike
+    def test_overflow_raises_value_error_before_any_pass(self, monkeypatch):
+        # 2|sin(1.5)| ** 1202 is past the float range: the degree is too high
+        # at that frequency, for a scalar and an array alike, and no pass runs
+        def no_pass(*args):
+            raise AssertionError("a pass ran")
+
+        monkeypatch.setattr(symbol_module, "_lattice_terms", no_pass)
         for omega in (3.0, np.array([1.0, 3.0])):
-            with pytest.raises(OverflowError):
+            with pytest.raises(ValueError, match="degree 600"):
                 symbol_lattice(600, omega)
+
+    def test_degree_600_keeps_its_bits_where_s_pow_p_is_finite(self):
+        got = symbol_lattice(600, 0.1)
+        assert got.value == 0.6060001314065115
+        assert (got.value, got.tail_bound) == lattice_reference(600, 0.1, 1e-12)
 
     def test_lattice_points_exact(self):
         got = symbol_lattice(3, np.array([0.0, TWO_PI, -4 * math.pi]))
@@ -255,9 +265,10 @@ class TestLibmPow:
     )
     def test_array_tails_match_float_tails(self, first, p):
         arr = np.array(first)
-        for f in (power_tail, power_tail_bound):
-            got = f(arr, TWO_PI, p)
-            assert got.tobytes() == np.array([f(x, TWO_PI, p) for x in first]).tobytes()
+        got = power_tail(arr, TWO_PI, p)
+        alone = np.array([power_tail(x, TWO_PI, p) for x in first])
+        for i in range(2):  # the estimate, then its bound
+            assert got[i].tobytes() == alone[:, i].tobytes()
         assert libm_pow(arr, -p).tolist() == [x**-p for x in first]
 
     def test_array_path_is_libm_on_the_lattice_domain(self):
@@ -454,3 +465,27 @@ class TestRatio:
         ratio_L(m, np.linspace(0.0, TWO_PI, 33))
         assert passes == [33] * m
 
+
+class TestDegree200AtPi:
+    # silent wrong answers: the cosine sum a_0 + 2 Σ a_j cos(jπ) cancels to
+    # rounding noise long before degree 200, and nothing says so
+    @staticmethod
+    def _close(got: float, exact: Fraction) -> bool:
+        return abs(Fraction(got) - exact) <= Fraction(1e-12) * exact
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="symbol_fourier's cosine sum cancels at pi (ROADMAP items 20 and 23)",
+    )
+    def test_symbol_fourier(self):
+        # returns 8.36e-18; S_200(π) is 2.89e-79
+        assert self._close(symbol_fourier(200, math.pi), symbol_at_pi(200))
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ratio_L's cosine sums cancel at pi (ROADMAP items 20 and 23)",
+    )
+    def test_ratio_L(self):
+        # returns 1.990; 4 S_199(π)/S_200(π) is 9.8696
+        exact = 4 * symbol_at_pi(199) / symbol_at_pi(200)
+        assert self._close(ratio_L(200, math.pi), exact)
