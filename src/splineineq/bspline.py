@@ -137,13 +137,10 @@ def _basis_window(m: int, u: Array) -> tuple[npt.NDArray[np.int64], Array]:
     t = u - j0  # in [0, 1)
     w = np.ones((u.shape[0], 1))
     for d in range(1, m + 1):
+        y = t[:, None] + np.arange(d, -1, -1.0)  # u - g for the shifts g = j0 - d + i
         wn = np.zeros((u.shape[0], d + 1))
-        for i in range(d + 1):
-            y = t + (d - i)  # u - g for the shift g = j0 - d + i
-            if i >= 1:
-                wn[:, i] += (y / d) * w[:, i - 1]
-            if i <= d - 1:
-                wn[:, i] += ((d + 1 - y) / d) * w[:, i]
+        wn[:, 1:] += (y[:, 1:] / d) * w  # the left term first, into a zero
+        wn[:, :-1] += ((d + 1 - y[:, :-1]) / d) * w
         w = wn
     return j0, w
 

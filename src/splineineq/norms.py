@@ -179,8 +179,6 @@ def l2_norm_sq_quadrature(s: CardinalSpline) -> float:
     _require_spline(s)
     _require_single(s)
     cells = len(s.coeffs) + s.degree
-    if cells <= 0:
-        return 0.0
     nodes, weights = np.polynomial.legendre.leggauss(s.degree + 1)
     h = s.knot_spacing
     edges = h * np.arange(cells)  # the support starts at 0.0

@@ -22,6 +22,25 @@ def symbol_at_pi(m: int) -> Fraction:
     return Fraction(alternating, math.factorial(2 * m + 1))
 
 
+def _curvature_at_pi(m: int) -> Fraction:
+    """S''_m(π)/S_m(π), exact, with ``S''_m(π) = -2 Σ_{j≥1} (-1)^j j² a_j``."""
+    s = _scaled_integer_samples(2 * m + 1)
+    second = -2 * sum((-1) ** j * j * j * s[m + j] for j in range(1, m + 1))
+    return Fraction(second, math.factorial(2 * m + 1)) / symbol_at_pi(m)
+
+
+def rate_constant(m: int, k: int) -> Fraction:
+    """q = r''(π)/r(π) for the pencil's symbol ratio
+    ``r(ω) = (4 sin²(ω/2))^k S_{m-k}(ω)/S_m(ω)``, whose maximum C² is at π:
+    ``q = -k/2 + S''_{m-k}(π)/S_{m-k}(π) - S''_m(π)/S_m(π)``.
+
+    The finite-section optimum of length n falls short of C² by
+    ``1 - λ_max/C² ~ κ/n²`` with ``κ = (π²/2)|q|`` (Kac, Murdock & Szegő,
+    1953; Parter, 1961).
+    """
+    return Fraction(-k, 2) + _curvature_at_pi(m - k) - _curvature_at_pi(m)
+
+
 def poly_mul(a: list[int], b: list[int]) -> list[int]:
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):

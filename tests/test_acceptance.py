@@ -15,7 +15,7 @@ from splineineq.bernstein import (
     sharp_constant,
     verify_inequality,
 )
-from splineineq.bspline import CardinalSpline
+from splineineq.bspline import CardinalSpline, gram_autocorrelation
 from splineineq.euler_frobenius import ef_roots, representative_roots, symbol_via_ef
 from splineineq.favard import favard
 from splineineq.norms import derivative_coeffs, l2_norm_sq, l2_norm_sq_quadrature
@@ -25,6 +25,7 @@ from symbol_extras import (
     half_angle_form,
     key_lemma_numerator,
     poly_mul,
+    rate_constant,
     sign_variations,
     symbol_at_pi,
 )
@@ -309,4 +310,78 @@ def test_criterion_11_key_lemma_per_degree():
         f"1 <= m <= {top}: {len(failed)} degrees with a coefficient >= 0, "
         f"{len(blind)} of {len(controls)} controls without a sign variation, "
         f"{dt:.2f}s",
+    )
+
+
+def pencil_top_eigenvalue(m: int, k: int, n: int) -> float:
+    """The largest λ of the pencil ``(DᵀG_{m-k}D, G_m)`` at unit spacing: the
+    best squared ratio ``||s^(k)||² / ||s||²`` over n coefficients.
+
+    G_j is the Toeplitz Gram matrix of gram_autocorrelation(j), n×n for
+    G_m and (n+k)×(n+k) for G_{m-k}, and D the k-th zero-padded difference
+    that derivative_coeffs applies (to the rows of the identity, here).
+    With G_m = LLᵀ by Cholesky, λ is the top eigenvalue of L⁻¹AL⁻ᵀ.
+    """
+
+    def gram(j: int, size: int) -> np.ndarray:
+        band = np.zeros(size)
+        band[: j + 1] = gram_autocorrelation(j)
+        steps = np.arange(size)
+        return band[np.abs(steps[:, None] - steps[None, :])]
+
+    dt = derivative_coeffs(CardinalSpline(m, 1.0, np.eye(n)), k).coeffs  # Dᵀ
+    a = dt @ gram(m - k, n + k) @ dt.T
+    lower = np.linalg.cholesky(gram(m, n))
+    half = np.linalg.solve(lower, a)  # L⁻¹A
+    return float(np.linalg.eigvalsh(np.linalg.solve(lower, half.T))[-1])
+
+
+def test_criterion_12_sharp_for_every_order():
+    """The constant is sharp for every order k, not only k = 1: the best
+    spline of 200 coefficients comes within 1% of it, and none passes it."""
+    t0 = time.perf_counter()
+    worst, worst_at, highest = math.inf, None, 0.0
+    for m in range(1, 15):
+        for k in range(1, m + 1):
+            frac = math.sqrt(pencil_top_eigenvalue(m, k, 200)) / sharp_constant(m, k)
+            if frac < worst:
+                worst, worst_at = frac, (m, k)
+            highest = max(highest, frac)
+    dt = time.perf_counter() - t0
+    _verdict(
+        12,
+        worst > 0.99 and highest <= 1.0 + 1e-10,
+        f"1 <= k <= m <= 14 at n = 200: optimum/constant worst {worst:.5f} "
+        f"at {worst_at}, highest {highest:.12f}, {dt:.2f}s",
+    )
+
+
+def test_criterion_13_approach_rate():
+    """The gap 1 - ratio²/C² falls like κ/n², with κ = (π²/2)|q| from the
+    exact q = r''(π)/r(π): for the finite-section optimum at n = 800, and
+    for the sine window (-1)^g sin((g+1)π/(N+1)) at N = 8192."""
+    t0 = time.perf_counter()
+    exact = [rate_constant(3, 1), rate_constant(6, 3)] == [
+        Fraction(-207, 68),
+        Fraction(-10385361, 742696),
+    ]
+    worst_opt = worst_sine = 0.0
+    for m, k in ((1, 1), (3, 1), (6, 3), (8, 8)):
+        kappa = PI**2 / 2 * abs(float(rate_constant(m, k)))
+        c2 = sharp_constant(m, k) ** 2
+        n = 800
+        gap = 1.0 - pencil_top_eigenvalue(m, k, n) / c2
+        worst_opt = max(worst_opt, abs(n * n * gap / kappa - 1.0))
+        n = 8192
+        g = np.arange(n)
+        window = (-1.0) ** g * np.sin((g + 1) * PI / (n + 1))
+        s = CardinalSpline(m, 1.0, window)
+        gap = 1.0 - l2_norm_sq(derivative_coeffs(s, k)) / l2_norm_sq(s) / c2
+        worst_sine = max(worst_sine, abs(n * n * gap / kappa - 1.0))
+    dt = time.perf_counter() - t0
+    _verdict(
+        13,
+        exact and worst_opt <= 0.01 and worst_sine <= 0.005,
+        f"q exact {exact}; n²·gap off κ by at most {worst_opt:.3%} (optimum, "
+        f"n = 800) and {worst_sine:.3%} (sine window, N = 8192), {dt:.2f}s",
     )

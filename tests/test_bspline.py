@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -40,6 +41,22 @@ def eval_bspline_truncpow(m: int, x: float) -> float:
         power = 1.0 if m == 0 else t**m
         terms.append((-1.0) ** k * math.comb(m + 1, k) * power)
     return math.fsum(terms) / math.factorial(m)
+
+
+def bspline_exact(m: int, x: float) -> Fraction:
+    """N_m(x) exactly: ``(1/m!) Σ_k (-1)^k C(m+1, k) (x - k)_+^m`` in integers.
+
+    The float x is p/q with q a power of two, so each truncated power is
+    ``(p - kq)^m / q^m``; it is taken right-continuous, ``(x - k)_+^0 = 1``
+    for x >= k, as Python's ``0**0 == 1`` gives.
+    """
+    p, q = x.as_integer_ratio()
+    total = sum(
+        (-1) ** k * math.comb(m + 1, k) * (p - k * q) ** m
+        for k in range(m + 2)
+        if p >= k * q
+    )
+    return Fraction(total, q**m * math.factorial(m))
 
 
 class TestEvalBspline:
@@ -85,6 +102,25 @@ class TestEvalBspline:
         trunc = np.array([eval_bspline_truncpow(m, t) for t in x])
         # tolerance grows with m: the alternating sum cancels catastrophically
         assert_allclose(recur, trunc, atol=1e-15 * 4.0**m)
+
+    @pytest.mark.parametrize("m", range(41))
+    def test_within_bound_of_exact_truncated_powers(self, m):
+        # the window oracle above shares eval_bspline's window; this one
+        # sums the truncated powers exactly, so it sees any change to it
+        x = np.concatenate(
+            [
+                np.random.default_rng(m).uniform(0.0, m + 1.0, 100),
+                np.arange(2 * m + 3) / 2.0,  # the knots and their midpoints
+            ]
+        )
+        got = eval_bspline(m, x).tolist()
+        bound = Fraction(m + 1, 2**52)
+        for v, g in zip(x.tolist(), got):
+            exact = bspline_exact(m, v)
+            if exact == 0:
+                assert g == 0.0 and math.copysign(1.0, g) == 1.0, (m, v, g)
+            else:
+                assert abs(Fraction(g) - exact) <= bound * exact, (m, v, g)
 
     @pytest.mark.parametrize("m", range(1, 7))
     def test_symmetric_about_center(self, m):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import contextvars
+import math
 import os
 import subprocess
 import sys
@@ -139,6 +140,12 @@ class TestL2Norm:
 
     def test_zero_spline_has_zero_norm(self):
         assert l2_norm_sq(make(2, [0.0, 0.0])) == 0.0
+
+    @pytest.mark.parametrize("m", [0, 1, 3])
+    def test_empty_spline_has_zero_quadrature_norm(self, m):
+        # at degree 0 there is no knot cell, and the rule sums no node
+        q = l2_norm_sq_quadrature(make(m, []))
+        assert q == 0.0 and math.copysign(1.0, q) == 1.0
 
 
 class TestDerivativeSpline:
