@@ -40,21 +40,18 @@ def libm_pow(x, y: float):
     """x ** y by the C library's pow, for a finite non-negative float or
     elementwise for an array of them.
 
-    Published values must not move, so a float and its element of an array
-    get the same bits: math.pow for a float, and for an array one
-    np.float_power call, whose float64 loop calls the C library's pow for
-    each element.  np.power is not used: numpy sends float64 powers to its
-    own SIMD code where the CPU has it (AVX-512), and that differs from
-    libm's pow in the last bit for about 5% of inputs.
+    One np.float_power call, whose float64 loop calls the C library's pow
+    for each element, so a float and its element of an array get the same
+    bits.  np.power is not used: numpy sends float64 powers to its own SIMD
+    code where the CPU has it (AVX-512), and that differs from libm's pow
+    in the last bit for about 5% of inputs.
     """
-    if isinstance(x, np.ndarray):
-        # math.pow underflows silently and raises OverflowError on overflow
-        with np.errstate(over="raise", under="ignore"):
-            try:
-                return np.float_power(x, y)
-            except FloatingPointError:
-                raise OverflowError("math range error") from None
-    return math.pow(x, y)
+    # as math.pow: underflow is silent and overflow raises OverflowError
+    with np.errstate(over="raise", under="ignore"):
+        try:
+            return np.float_power(x, y)
+        except FloatingPointError:
+            raise OverflowError("math range error") from None
 
 
 def fsum_rows(block: np.ndarray) -> np.ndarray:
@@ -102,8 +99,6 @@ def power_tail(first, step: float, p: float):
     completely monotone, so the remainder is enveloped by the first
     omitted term, which is the bound.
     """
-    if p <= 1.0:
-        raise ValueError("tail diverges unless p > 1")
     head = libm_pow(first, 1.0 - p) / (step * (p - 1.0))
     half = 0.5 * libm_pow(first, -p)
     b2 = step * p * libm_pow(first, -(p + 1.0)) / 12.0

@@ -37,7 +37,6 @@ SCHEMA_VERSION = "1"
 
 __all__ = [
     "OutputRecord",
-    "UsageError",
     "render_record",
     "parse_record",
     "cmd_constants",
@@ -47,11 +46,6 @@ __all__ = [
     "cmd_roots",
     "main",
 ]
-
-
-# Bad input, whether the library or the CLI's own rules refuse it, is a
-# ValueError, and main maps it to exit code 2.
-UsageError = ValueError
 
 
 @dataclass
@@ -181,7 +175,7 @@ def render_record(record: OutputRecord, fmt: str) -> str:
     raise ValueError.
     """
     if fmt not in ("csv", "json-lines"):
-        raise UsageError(f"unknown format: {fmt}")
+        raise ValueError(f"unknown format: {fmt}")
     columns, params = record.columns, record.parameters
     lengths = {k: len(cells) for k, cells in columns.items()}
     if len(set(lengths.values())) > 1:
@@ -225,7 +219,7 @@ def parse_record(text: str, fmt: str) -> OutputRecord:
     the first row's in that order.
     """
     if fmt not in ("csv", "json-lines"):
-        raise UsageError(f"unknown format: {fmt}")
+        raise ValueError(f"unknown format: {fmt}")
     try:
         if fmt == "json-lines":
             lines = [ln for ln in text.splitlines() if ln.strip()]
@@ -274,11 +268,11 @@ def cmd_constants(
     m_max = _integer(m_max, "max degree")
     k_max = _integer(k_max, "max order")
     if m_max < 0 or k_max < 0:
-        raise UsageError("degree and order bounds must be non-negative")
+        raise ValueError("degree and order bounds must be non-negative")
     _check_spacing(spacing)
     h = 1.0 / spacing
     if h == math.inf:
-        raise UsageError(f"h = 1/spacing overflows at spacing {spacing!r}")
+        raise ValueError(f"h = 1/spacing overflows at spacing {spacing!r}")
     # K[i] is K_{2i+1}, each series summed once
     K = [favard(2 * i + 1, rtol).value for i in range(m_max + 1)]
     rows = []
@@ -304,7 +298,7 @@ def cmd_symbol(m: int, points: int, rtol: float = 1e-12) -> OutputRecord:
     """
     points = _integer(points, "points")
     if points < 2:
-        raise UsageError("need at least two sweep points")
+        raise ValueError("need at least two sweep points")
     # the root product's ceilings, before any route runs
     _check_symbol_degree(m)
     grid = np.linspace(0.0, 2.0 * math.pi, points)
@@ -347,9 +341,9 @@ def cmd_verify(
     trials = _integer(trials, "trials")
     seed = _integer(seed, "seed")
     if trials < 1:
-        raise UsageError("need at least one trial")
+        raise ValueError("need at least one trial")
     if seed < 0:
-        raise UsageError("seed must be non-negative")
+        raise ValueError("seed must be non-negative")
     master = np.random.default_rng(seed)
     counts = master.integers(1, 41, size=trials)
     stacks = uniform_stacks(seed + 1, counts)
@@ -372,7 +366,7 @@ def cmd_verify(
                 s = CardinalSpline(degree=m, knot_spacing=spacing, coeffs=row)
                 verify_inequality(s, k)
             except ValueError as exc:
-                raise UsageError(f"trial {i}: {exc}") from None
+                raise ValueError(f"trial {i}: {exc}") from None
         raise AssertionError("a stack failed but none of its trials does")
     ratios = ratio.tolist()
     margins = margin.tolist()
@@ -403,9 +397,9 @@ def cmd_extremal(m: int, n_list: list[int]) -> OutputRecord:
     _check_degree(m, 1)
     n_list = [_integer(n, "sequence length") for n in n_list]
     if not n_list:
-        raise UsageError("need at least one sequence length")
+        raise ValueError("need at least one sequence length")
     if any(n < 0 for n in n_list):
-        raise UsageError("sequence lengths must be non-negative")
+        raise ValueError("sequence lengths must be non-negative")
     constant = sharp_constant(m, 1, 1.0)
     ratios = [extremal_ratio(m, n) for n in n_list]
     columns = {
@@ -427,7 +421,7 @@ def cmd_roots(n_max: int) -> OutputRecord:
     interlace; the verdict is blank at the lowest order.
     """
     if n_max < 3 or n_max % 2 == 0:
-        raise UsageError("max order must be an odd integer >= 3")
+        raise ValueError("max order must be an odd integer >= 3")
     _check_ef_order(n_max)
     rows, inner = [], None
     for n in range(3, n_max + 1, 2):
@@ -519,7 +513,7 @@ def main(argv=None) -> int:
         elif args.subcommand == "symbol":
             record = cmd_symbol(args.degree, args.points, args.rtol)
             if args.degree == 0:  # the symbol columns are still written
-                late = UsageError("degree 0 has no ratio_L or is_argmax columns")
+                late = ValueError("degree 0 has no ratio_L or is_argmax columns")
         elif args.subcommand == "verify":
             record = cmd_verify(
                 args.degree, args.order, args.spacing, args.trials, args.seed
@@ -532,12 +526,12 @@ def main(argv=None) -> int:
         elif args.subcommand == "roots":
             record = cmd_roots(args.max_order)
         else:  # pragma: no cover - argparse enforces the choices
-            raise UsageError(f"unknown subcommand {args.subcommand}")
+            raise ValueError(f"unknown subcommand {args.subcommand}")
         try:
             _emit(record, args.format, args.out)
         except OSError as exc:  # a path that cannot be opened or written
             target = args.out or "stdout"
-            raise UsageError(f"cannot write {target}: {exc.strerror or exc}") from None
+            raise ValueError(f"cannot write {target}: {exc.strerror or exc}") from None
         if late:
             raise late
         return status

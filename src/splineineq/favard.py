@@ -72,6 +72,6 @@ def favard(m: int, rtol: float = 1e-12) -> FavardConstant:
         err = pref * bound + ROUNDING_FLOOR * abs(value)
         if err <= rtol * abs(value):
             return FavardConstant(
-                index=m, value=value, series_terms=terms, tail_bound=err
+                index=m, value=float(value), series_terms=terms, tail_bound=float(err)
             )
         terms = _double_terms(terms, rtol)

@@ -77,6 +77,65 @@ def symbol_polynomial(m: int) -> list[int]:
     return out
 
 
+def half_angle_polynomial(m: int) -> list[int]:
+    """Q_m(c) = (2m+1)! S_m as an integer polynomial in c = cos²(ω/2),
+    ascending: symbol_polynomial(m) with x = cos ω = 2c - 1 substituted.
+    Q_m(1) = (2m+1)! S_m(0) and Q_m(0) = (2m+1)! S_m(π)."""
+    x = symbol_polynomial(m)
+    out = [x[-1]]
+    for c in reversed(x[:-1]):  # Horner's rule in 2c - 1
+        out = poly_mul(out, [-1, 2])
+        out[0] += c
+    return out
+
+
+def lattice_polynomial(m: int) -> list[int]:
+    """β_i = -[y^(2i)] P_{2m+1}(y) for i = 0..m+1, with P_0 = y and
+    P_{n+1} = -(1 + y²) P_n', so that P_n(cot x) is the n-th derivative of
+    cot x (Knuth & Buckholtz, Math. Comp. 1967).
+
+    cot x = Σ_l 1/(x + πl), so at x = ω/2 the lattice sum is
+    ``(2m+1)! S_m(ω) = Σ_i β_i c^i (1 - c)^(m+1-i)`` with c = cos²(ω/2):
+    the symbol from no B-spline sample.
+    """
+    p = [0, 1]
+    for _ in range(2 * m + 1):
+        p = [-c for c in poly_mul([1, 0, 1], _poly_derivative(p))]
+    return [-c for c in p[::2]]
+
+
+def bernstein_sum(beta: list[int]) -> list[int]:
+    """Σ_i β_i c^i (1 - c)^(d-i) for d = len(beta) - 1, ascending in c,
+    with its zero leading coefficients dropped."""
+    d = len(beta) - 1
+    out = [0] * (d + 1)
+    for i, b in enumerate(beta):
+        term = [b]
+        for _ in range(d - i):
+            term = poly_mul(term, [1, -1])
+        for e, t in enumerate(term):
+            out[i + e] += t
+    while len(out) > 1 and out[-1] == 0:
+        out.pop()
+    return out
+
+
+def closed_forms_agree(m: int) -> bool:
+    """Criterion 14 at degree m: Q_m and β have positive integer
+    coefficients, Q_m(0) = (2m+1)! S_m(π), Q_m(1) = (2m+1)!, and the
+    lattice form Σ β_i c^i (1 - c)^(m+1-i) is Q_m(c)."""
+    q, beta = half_angle_polynomial(m), lattice_polynomial(m)
+    f = math.factorial(2 * m + 1)
+    return (
+        min(q) > 0
+        and len(beta) == m + 2
+        and min(beta) > 0
+        and q[0] == f * symbol_at_pi(m)
+        and sum(q) == f
+        and bernstein_sum(beta) == q
+    )
+
+
 def key_lemma_numerator(m: int) -> list[int]:
     """N = P'Q - PQ', the numerator of dR/dx for R = P/Q up to a positive
     factor, with P = 2(1 - x) S_{m-1} and Q = S_m as integer polynomials.
@@ -110,3 +169,29 @@ def sign_variations(coeffs: list[int]) -> int:
     signs = [c > 0 for c in coeffs if c]
     return sum(a != b for a, b in zip(signs, signs[1:]))
 
+
+def derivative_weights(m: int, k: int) -> list[Fraction]:
+    """b_j = (-1)^k Σ_{i=0..2k} (-1)^i C(2k, i) N_{2m+1-2k}(m+1+j-i), j = 0..m.
+
+    The Gram form of the k-fold differenced coefficients at degree m - k
+    is ``Σ_j (2 - δ_{j0}) b_j D_j(c)`` in the autocorrelations
+    ``D_j(c) = Σ_g c_g c_{g+j}`` of the coefficients themselves, and
+    b^{(m,0)} is the Gram autocorrelation a_j.
+    """
+    n = 2 * (m - k) + 1
+    s = _scaled_integer_samples(n)
+
+    def sample(x: int) -> int:  # n! N_n(x); N_n vanishes off 1..n
+        return s[x - 1] if 1 <= x <= n else 0
+
+    return [
+        Fraction(
+            (-1) ** k
+            * sum(
+                (-1) ** i * math.comb(2 * k, i) * sample(m + 1 + j - i)
+                for i in range(2 * k + 1)
+            ),
+            math.factorial(n),
+        )
+        for j in range(m + 1)
+    ]

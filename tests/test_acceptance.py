@@ -22,8 +22,11 @@ from splineineq.norms import derivative_coeffs, l2_norm_sq, l2_norm_sq_quadratur
 from splineineq.symbol import ratio_L, symbol_fourier, symbol_lattice
 
 from symbol_extras import (
+    closed_forms_agree,
     half_angle_form,
+    half_angle_polynomial,
     key_lemma_numerator,
+    lattice_polynomial,
     poly_mul,
     rate_constant,
     sign_variations,
@@ -384,4 +387,27 @@ def test_criterion_13_approach_rate():
         exact and worst_opt <= 0.01 and worst_sine <= 0.005,
         f"q exact {exact}; n²·gap off κ by at most {worst_opt:.3%} (optimum, "
         f"n = 800) and {worst_sine:.3%} (sine window, N = 8192), {dt:.2f}s",
+    )
+
+
+def test_criterion_14_lattice_and_fourier_closed_forms():
+    """The Fourier route and the lattice route in exact closed form: in
+    c = cos²(ω/2), (2m+1)! S_m is the integer polynomial Q_m from the
+    Gram autocorrelations, and the lattice sum of the cot-derivative
+    polynomial's coefficients β_i, which reads no B-spline sample, is the
+    same polynomial."""
+    t0 = time.perf_counter()
+    top = 40
+    known = (
+        [half_angle_polynomial(m) for m in (1, 2, 3)]
+        == [[2, 4], [16, 88, 16], [272, 2880, 1824, 64]]
+        and lattice_polynomial(1) == [2, 8, 6]
+    )
+    failed = [m for m in range(top + 1) if not closed_forms_agree(m)]
+    dt = time.perf_counter() - t0
+    _verdict(
+        14,
+        known and not failed and dt < 2.0,
+        f"0 <= m <= {top}: Q_1..Q_3 and β(1) as known {known}, "
+        f"{len(failed)} degrees failing, {dt:.2f}s",
     )

@@ -25,24 +25,6 @@ from splineineq.bspline import (
 )
 
 
-def eval_bspline_truncpow(m: int, x: float) -> float:
-    """Degree-m cardinal B-spline via the alternating truncated-power sum.
-
-    Oracle for the degree recurrence in eval_bspline: an independent
-    formula, but its alternating binomial sum cancels catastrophically for
-    large m.
-    """
-    x = float(x)
-    terms = []
-    for k in range(m + 2):
-        t = x - k
-        if t < 0.0:
-            break
-        power = 1.0 if m == 0 else t**m
-        terms.append((-1.0) ** k * math.comb(m + 1, k) * power)
-    return math.fsum(terms) / math.factorial(m)
-
-
 def bspline_exact(m: int, x: float) -> Fraction:
     """N_m(x) exactly: ``(1/m!) Σ_k (-1)^k C(m+1, k) (x - k)_+^m`` in integers.
 
@@ -95,14 +77,6 @@ class TestEvalBspline:
         x = np.array([-1.0, -1e-12, m + 1.0, m + 1.5, 50.0])
         assert_allclose(eval_bspline(m, x), 0.0)
 
-    @pytest.mark.parametrize("m", range(7))
-    def test_matches_truncated_power_form(self, m):
-        x = np.linspace(-0.5, m + 1.5, 101)
-        recur = eval_bspline(m, x)
-        trunc = np.array([eval_bspline_truncpow(m, t) for t in x])
-        # tolerance grows with m: the alternating sum cancels catastrophically
-        assert_allclose(recur, trunc, atol=1e-15 * 4.0**m)
-
     @pytest.mark.parametrize("m", range(41))
     def test_within_bound_of_exact_truncated_powers(self, m):
         # the window oracle above shares eval_bspline's window; this one
@@ -111,6 +85,7 @@ class TestEvalBspline:
             [
                 np.random.default_rng(m).uniform(0.0, m + 1.0, 100),
                 np.arange(2 * m + 3) / 2.0,  # the knots and their midpoints
+                np.linspace(-0.5, m + 1.5, 101),  # reaching outside the support
             ]
         )
         got = eval_bspline(m, x).tolist()

@@ -102,8 +102,10 @@ class TestSerialization:
 
     def test_unknown_format_rejected(self):
         record = cmd_roots(3)
-        with pytest.raises(cli.UsageError):
+        with pytest.raises(ValueError, match="^unknown format: xml$"):
             render_record(record, "xml")
+        with pytest.raises(ValueError, match="^unknown format: xml$"):
+            parse_record(render_record(record, "csv"), "xml")
 
 
 def render_record_reference(record, fmt):
@@ -453,7 +455,7 @@ class TestCommands:
         ],
     )
     def test_usage_errors(self, call):
-        with pytest.raises(cli.UsageError):
+        with pytest.raises(ValueError):
             call()
 
 
@@ -514,6 +516,18 @@ class TestMain:
             f"error: order {order} is too high: its largest coefficient exceeds"
             " the float range\n"
         )
+
+    def test_negative_sequence_length_exits_two_before_any_ratio(
+        self, monkeypatch, capsys
+    ):
+        def ratio(m, n):
+            raise AssertionError(f"a ratio at n = {n} was computed")
+
+        monkeypatch.setattr(cli, "extremal_ratio", ratio)
+        assert main(["extremal", "--degree", "2", "--n", "3", "--n", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: sequence lengths must be non-negative\n"
 
     def test_degree_82_underflows_exits_two(self, capsys):
         assert main(["symbol", "--degree", "82", "--points", "3"]) == 2
@@ -1061,7 +1075,7 @@ class TestBatchedVerify:
             return verify_inequality(s, k)
 
         monkeypatch.setattr(cli, "verify_inequality", failing)
-        with pytest.raises(cli.UsageError, match="^trial 0: forged failure$"):
+        with pytest.raises(ValueError, match="^trial 0: forged failure$"):
             cmd_verify(2, 1, 1.0, trials, seed)
         assert failed[0] == (counts.count(small), small)  # the stack failing first
 
@@ -1088,7 +1102,7 @@ class TestBatchedVerify:
             return verify_inequality(s, k)
 
         monkeypatch.setattr(cli, "verify_inequality", failing)
-        with pytest.raises(cli.UsageError, match=f"^trial {first}: forged failure$"):
+        with pytest.raises(ValueError, match=f"^trial {first}: forged failure$"):
             cmd_verify(2, 1, 1.0, trials, seed)
         small = counts[later]
         assert failed[0] == (counts.count(small), small)  # the stack failing first

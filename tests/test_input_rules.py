@@ -33,7 +33,6 @@ from splineineq import (
 )
 from splineineq import cli
 from splineineq.cli import (
-    UsageError,
     cmd_constants,
     cmd_extremal,
     cmd_symbol,
@@ -164,7 +163,7 @@ class TestSpacingRule:
         ],
     )
     def test_one_message_from_every_caller(self, call, spacing):
-        with pytest.raises((ValueError, UsageError)) as info:
+        with pytest.raises(ValueError) as info:
             call(spacing)
         assert str(info.value) == SPACING
 
@@ -198,14 +197,14 @@ class TestDegreeRule:
     @pytest.mark.parametrize("m", [-1, -7])
     @pytest.mark.parametrize("call", DEGREE_CALLERS)
     def test_non_negative_from_every_caller(self, call, m):
-        with pytest.raises((ValueError, UsageError)) as info:
+        with pytest.raises(ValueError) as info:
             call(m)
         assert str(info.value) == DEGREE_NEGATIVE
 
     @pytest.mark.parametrize("m", [0, -1])
     @pytest.mark.parametrize("call", DEGREE_ONE_CALLERS)
     def test_at_least_one_from_every_caller(self, call, m):
-        with pytest.raises((ValueError, UsageError)) as info:
+        with pytest.raises(ValueError) as info:
             call(m)
         assert str(info.value) == DEGREE_BELOW_ONE
 
@@ -251,7 +250,7 @@ class TestOrderRule:
         ],
     )
     def test_one_message_from_every_caller(self, call, k, message):
-        with pytest.raises((ValueError, UsageError)) as info:
+        with pytest.raises(ValueError) as info:
             call(k)
         assert str(info.value) == message
 
@@ -342,7 +341,7 @@ class TestRtolRule:
         ],
     )
     def test_one_message_from_every_caller(self, call, rtol):
-        with pytest.raises((ValueError, UsageError)) as info:
+        with pytest.raises(ValueError) as info:
             call(rtol)
         assert str(info.value) == RTOL
 

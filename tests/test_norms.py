@@ -3,6 +3,7 @@ from __future__ import annotations
 import contextvars
 import math
 import os
+import random
 import subprocess
 import sys
 import threading
@@ -30,6 +31,8 @@ from splineineq.norms import (
     l2_norm_sq,
     l2_norm_sq_quadrature,
 )
+
+from symbol_extras import derivative_weights
 
 
 def make(degree, coeffs, spacing=1.0):
@@ -157,6 +160,49 @@ class TestDerivativeSpline:
         assert d.knot_spacing == 2.0
         assert not d.coeffs.flags.writeable
 
+
+
+def gram_form(c: list[Fraction], a: list[Fraction]) -> Fraction:
+    """Σ_{g,h} c_g c_h a_{|g-h|}, exact, for a band a_0..a_m."""
+    return sum(
+        x * y * a[abs(g - h)]
+        for g, x in enumerate(c)
+        for h, y in enumerate(c)
+        if abs(g - h) < len(a)
+    )
+
+
+class TestDerivativeWeights:
+    """||s^(k)||² from the coefficients' own autocorrelations, exactly."""
+
+    def test_order_zero_weights_are_the_autocorrelations(self):
+        for m in range(1, 9):
+            weights = derivative_weights(m, 0)
+            assert [float(b) for b in weights] == gram_autocorrelation(m).tolist()
+
+    def test_weights_give_the_norm_of_the_difference(self):
+        rng = random.Random(5)
+        for _ in range(300):
+            m = rng.randint(1, 8)
+            k, n = rng.randint(1, m), rng.randint(1, 29)
+            c = [Fraction(rng.randint(-(2**20), 2**20), 2**20) for _ in range(n)]
+            # the k-fold zero-padded difference, exact
+            d = [
+                sum(
+                    (-1) ** i * math.comb(k, i) * c[g - i]
+                    for i in range(k + 1)
+                    if 0 <= g - i < n
+                )
+                for g in range(n + k)
+            ]
+            got = derivative_coeffs(make(m, [float(x) for x in c]), k).coeffs
+            assert [Fraction(x) for x in got.tolist()] == d, (m, k, n)
+            b = derivative_weights(m, k)
+            by_weights = sum(
+                (1 if j == 0 else 2) * b[j] * sum(c[g] * c[g + j] for g in range(n - j))
+                for j in range(min(m, n - 1) + 1)
+            )
+            assert by_weights == gram_form(d, derivative_weights(m - k, 0)), (m, k, n)
 
 
 def bits(x) -> bytes:
